@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 from typing import Dict, Iterable, Union
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -74,21 +73,10 @@ def emit(
     payload = {"schema": SCHEMA, "experiment": experiment_id, "records": rows}
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"{experiment_id}.json"
-    # write-temp-then-rename: a crash mid-write leaves the previous file
-    # intact, and no reader ever sees a partial payload
-    fd, tmp_name = tempfile.mkstemp(
-        dir=OUT_DIR, prefix=f".{experiment_id}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    # imported here so check_regression (OUT_DIR, load) runs without repro
+    from repro.atomic import write_atomic
+
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _dual_write(payload)
     return path
 

@@ -15,9 +15,10 @@ scheduler hiccups but not sustained load).
 import time
 
 from _emit import emit, record
-from repro.experiments import ExperimentRunner, reduced_design
+from repro.experiments import reduced_design
 from repro.netsim.faults import FaultSpec
 from repro.platforms import CRAY_J90
+from repro.workloads.campaign import run_workload_design
 
 #: switches to the resilient stub but injects nothing
 ZERO_FAULT = FaultSpec(rpc_timeout=30.0)
@@ -32,18 +33,18 @@ ROUNDS = 3
 def run_three_ways():
     design = reduced_design()
     configs = [
-        ("plain client", ExperimentRunner(CRAY_J90)),
-        ("resilient, zero faults", ExperimentRunner(CRAY_J90, faults=ZERO_FAULT)),
-        ("resilient, drop=1% delay=2%", ExperimentRunner(CRAY_J90, faults=CHAOS)),
+        ("plain client", None),
+        ("resilient, zero faults", ZERO_FAULT),
+        ("resilient, drop=1% delay=2%", CHAOS),
     ]
     timings = {label: float("inf") for label, _ in configs}
     records = {}
     # interleave the configurations so slow drift (thermal, background
     # load) hits all three equally instead of biasing the ratio
     for _ in range(ROUNDS):
-        for label, runner in configs:
+        for label, faults in configs:
             t0 = time.perf_counter()
-            records[label] = runner.run_design(design)
+            records[label], _ = run_workload_design(design, CRAY_J90, faults=faults)
             timings[label] = min(timings[label], time.perf_counter() - t0)
 
     return (

@@ -11,33 +11,37 @@ import tempfile
 import time
 
 from _emit import emit, record
-from repro.experiments import ExperimentRunner, reduced_design
+from repro.experiments import ResultCache, reduced_design
 from repro.platforms import CRAY_J90
+from repro.workloads.campaign import run_workload_design
 
 
 def run_three_ways(cache_dir: str):
     design = reduced_design()
     timings = {}
 
-    serial = ExperimentRunner(CRAY_J90)
     t0 = time.perf_counter()
-    serial_records = serial.run_design(design)
+    serial_records, _ = run_workload_design(design, CRAY_J90)
     timings["serial"] = time.perf_counter() - t0
 
-    parallel = ExperimentRunner(CRAY_J90, workers=4, cache_dir=cache_dir)
     t0 = time.perf_counter()
-    parallel_records = parallel.run_design(design)
+    parallel_records, _ = run_workload_design(
+        design, CRAY_J90, workers=4, cache=ResultCache(cache_dir)
+    )
     timings["parallel (4 workers, cold cache)"] = time.perf_counter() - t0
 
-    warm = ExperimentRunner(CRAY_J90, workers=4, cache_dir=cache_dir)
+    cache = ResultCache(cache_dir)
     t0 = time.perf_counter()
-    warm_records = warm.run_design(design)
+    warm_records, simulated = run_workload_design(
+        design, CRAY_J90, workers=4, cache=cache
+    )
     timings["parallel (4 workers, warm cache)"] = time.perf_counter() - t0
 
-    return design, timings, serial_records, parallel_records, warm_records, warm
+    return (design, timings, serial_records, parallel_records, warm_records,
+            simulated, cache.stats)
 
 
-def render(design, timings, warm_runner) -> str:
+def render(design, timings, warm_simulated, warm_stats) -> str:
     lines = [
         f"reduced design: {len(design)} cells on the simulated J90",
         "",
@@ -47,8 +51,8 @@ def render(design, timings, warm_runner) -> str:
     lines.extend(
         [
             "",
-            f"warm-cache run: {warm_runner.simulations_run} simulations, "
-            f"cache {warm_runner.cache_stats}",
+            f"warm-cache run: {warm_simulated} simulations, "
+            f"cache {warm_stats}",
             "serial and parallel records are identical by construction: "
             "every cell's seed derives from its content, not its position.",
         ]
@@ -58,18 +62,20 @@ def render(design, timings, warm_runner) -> str:
 
 def test_bench_parallel_campaign(benchmark, artifact):
     with tempfile.TemporaryDirectory() as cache_dir:
-        design, timings, serial_records, parallel_records, warm_records, warm = (
-            benchmark.pedantic(
-                run_three_ways, args=(cache_dir,), rounds=1, iterations=1
-            )
+        (design, timings, serial_records, parallel_records, warm_records,
+         warm_simulated, warm_stats) = benchmark.pedantic(
+            run_three_ways, args=(cache_dir,), rounds=1, iterations=1
         )
-        artifact("PARALLEL_campaign", render(design, timings, warm))
+        artifact(
+            "PARALLEL_campaign",
+            render(design, timings, warm_simulated, warm_stats),
+        )
         emit(
             "PARALLEL_campaign",
             [record(label, "wall_time", seconds, "s")
              for label, seconds in timings.items()]
             + [record("warm-cache", "simulations_run",
-                      warm.simulations_run, "count")],
+                      warm_simulated, "count")],
         )
 
         for a, b in zip(serial_records, parallel_records):
@@ -77,6 +83,6 @@ def test_bench_parallel_campaign(benchmark, artifact):
             assert a.wall_stats == b.wall_stats
         for a, b in zip(serial_records, warm_records):
             assert a.breakdown == b.breakdown
-        assert warm.simulations_run == 0
-        assert warm.cache_stats.misses == 0
-        assert warm.cache_stats.hits == len(design)
+        assert warm_simulated == 0
+        assert warm_stats.misses == 0
+        assert warm_stats.hits == len(design)

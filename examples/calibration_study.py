@@ -21,31 +21,33 @@ from repro.core.calibration import calibrate, residual_table
 from repro.core.model import OpalPerformanceModel
 from repro.core.parameters import ApplicationParams
 from repro.experiments import (
-    ExperimentCase,
-    ExperimentRunner,
     Factor,
+    ResultCache,
     full_factorial,
+    opal_cell,
     reduced_design,
     sign_table_effects,
 )
 from repro.opal.complexes import LARGE, MEDIUM
 from repro.platforms import CRAY_J90
+from repro.workloads.campaign import measure_probe, run_workload_design
 
 
 def main() -> None:
-    runner = ExperimentRunner(CRAY_J90, repetitions=1, jitter_sigma=0.004)
-
     print("-- reproducibility probe (Section 2.3) ----------------------")
-    probe = runner.variability_probe(
-        ExperimentCase(molecule=MEDIUM, servers=4, cutoff=10.0, update_interval=1),
+    probe, _ = measure_probe(
+        CRAY_J90,
+        opal_cell(MEDIUM, 4, cutoff=10.0, update_interval=1),
         repetitions=8,
+        jitter_sigma=0.004,
     )
     print(f"8 repetitions: mean {probe.mean:.3f}s, CV {100*probe.coefficient_of_variation:.2f}%"
           f" -> reproducible: {probe.reproducible()}")
 
     print("\n-- running the reduced 7*2^(3-1) design ----------------------")
     design = reduced_design()
-    observations = runner.observations(design)
+    records, _ = run_workload_design(design, CRAY_J90, jitter_sigma=0.004)
+    observations = [r.observation() for r in records]
     print(f"{len(observations)} experiments executed on the simulated J90")
 
     result = calibrate(observations, name="j90-calibrated")
@@ -91,34 +93,32 @@ def main() -> None:
 
     print("\n-- parallel execution with result caching ---------------------")
     with tempfile.TemporaryDirectory() as cache_dir:
-        par = ExperimentRunner(
+        t0 = time.perf_counter()
+        par_records, simulated = run_workload_design(
+            design,
             CRAY_J90,
-            repetitions=1,
             jitter_sigma=0.004,
             workers=4,
-            cache_dir=cache_dir,
+            cache=ResultCache(cache_dir),
             progress=lambda done, total, rec: (
                 print(f"  {done}/{total} cells done") if done % 14 == 0 else None
             ),
         )
-        t0 = time.perf_counter()
-        par_records = par.run_design(design)
         cold = time.perf_counter() - t0
         same = all(
             a.breakdown == b[1]
             for a, b in zip(par_records, observations)
         )
         print(f"4 workers, cold cache: {cold*1e3:.0f} ms "
-              f"({par.simulations_run} simulations); identical to serial: {same}")
+              f"({simulated} simulations); identical to serial: {same}")
 
-        warm = ExperimentRunner(
-            CRAY_J90, repetitions=1, jitter_sigma=0.004,
-            workers=4, cache_dir=cache_dir,
-        )
+        warm_cache = ResultCache(cache_dir)
         t0 = time.perf_counter()
-        warm.run_design(design)
+        _, simulated = run_workload_design(
+            design, CRAY_J90, jitter_sigma=0.004, workers=4, cache=warm_cache
+        )
         print(f"4 workers, warm cache: {(time.perf_counter()-t0)*1e3:.0f} ms "
-              f"({warm.simulations_run} simulations, cache {warm.cache_stats})")
+              f"({simulated} simulations, cache {warm_cache.stats})")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ experimental error.
 from repro.core.parameters import ApplicationParams, ModelPlatformParams
 from repro.core.uncertainty import bootstrap_calibration
 from repro.experiments import (
-    ExperimentRunner,
     Factor,
     full_factorial,
     reduced_design,
@@ -21,12 +20,15 @@ from repro.experiments import (
 from repro.opal.complexes import MEDIUM
 from repro.opal.parallel import run_parallel_opal
 from repro.platforms import CRAY_J90
+from repro.workloads.campaign import run_workload_design
 
 
 def main() -> None:
     print("-- bootstrap over the measured design --------------------------")
-    runner = ExperimentRunner(CRAY_J90, jitter_sigma=0.006, seed=5)
-    observations = runner.observations(reduced_design())
+    records, _ = run_workload_design(
+        reduced_design(), CRAY_J90, jitter_sigma=0.006, base_seed=5
+    )
+    observations = [r.observation() for r in records]
     boot = bootstrap_calibration(observations, n_bootstrap=120, seed=7)
     truth = ModelPlatformParams.from_spec(CRAY_J90)
     print(f"{'param':>6s} {'estimate':>12s} {'95% interval':>28s} {'truth':>12s}")

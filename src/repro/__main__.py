@@ -188,15 +188,15 @@ def cmd_measure(args) -> int:
 
 def cmd_calibrate(args) -> int:
     from .core.calibration import calibrate
-    from .experiments import ExperimentRunner, export_jsonl, reduced_design
+    from .experiments import ResultCache, reduced_design
     from .platforms import get_platform
+    from .workloads.campaign import export_jsonl, run_workload_design
 
     platform = get_platform(args.platform)
-    runner = ExperimentRunner(
-        platform, workers=args.workers, cache_dir=args.cache_dir
+    cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None
+    records, simulated = run_workload_design(
+        reduced_design(), platform, workers=args.workers, cache=cache
     )
-    design = reduced_design()
-    records = runner.run_design(design)
     if args.export_jsonl:
         n = export_jsonl(records, args.export_jsonl)
         print(f"wrote {n} cell records to {args.export_jsonl}")
@@ -208,9 +208,9 @@ def cmd_calibrate(args) -> int:
     print(f"  a2 = {p.a2:.3e} s    a3 = {p.a3:.3e} s    a4 = {p.a4:.3e} s")
     print(f"  b5 = {p.b5 * 1e3:.3f} ms")
     print(f"  mean relative error: {100 * result.mean_relative_error():.2f}%")
-    print(f"  simulations executed: {runner.simulations_run}", end="")
-    if runner.cache_stats is not None:
-        print(f" (cache: {runner.cache_stats})", end="")
+    print(f"  simulations executed: {simulated}", end="")
+    if cache is not None:
+        print(f" (cache: {cache.stats})", end="")
     print()
     return 0
 

@@ -83,19 +83,19 @@ def residuals_to_csv(rows: List[dict], path: PathLike) -> None:
 
 
 def records_to_jsonl(records, path: PathLike) -> int:
-    """Write per-cell ``ExperimentRecord``s as JSON lines; returns the count.
+    """Write per-cell ``WorkloadRecord``s as JSON lines; returns the count.
 
-    Thin alias for :func:`repro.experiments.cache.export_jsonl` so the
+    Thin alias for :func:`repro.workloads.campaign.export_jsonl` so the
     analysis layer offers one import site for both CSV and JSONL output.
     """
-    from ..experiments.cache import export_jsonl
+    from ..workloads.campaign import export_jsonl
 
     return export_jsonl(records, path)
 
 
 def records_from_jsonl(path: PathLike):
-    """Load ``ExperimentRecord``s back from a JSONL file (see above)."""
-    from ..experiments.cache import load_jsonl
+    """Load ``WorkloadRecord``s back from a JSONL file (see above)."""
+    from ..workloads.campaign import load_jsonl
 
     return load_jsonl(path)
 

@@ -19,13 +19,12 @@ from ..experiments.cases import (
     CUTOFF_EFFECTIVE,
     SERVER_RANGE,
     STEPS,
-    ExperimentCase,
     breakdown_chart_cases,
     reduced_design,
 )
-from ..experiments.runner import ExperimentRunner
 from ..opal.complexes import LARGE, MEDIUM, ComplexSpec
 from ..platforms.catalog import ALL_PLATFORMS, REFERENCE_PLATFORM
+from ..workloads.campaign import WorkloadCell, run_workload_design
 
 
 # ----------------------------------------------------------------------
@@ -33,19 +32,17 @@ def figure_breakdown(
     molecule: ComplexSpec,
     platform=None,
     servers: Sequence[int] = SERVER_RANGE,
-    runner_kwargs: Optional[dict] = None,
 ) -> Dict[str, Dict[int, TimeBreakdown]]:
     """Figures 1 (medium) / 2 (large): measured breakdown, four panels.
 
     Returns ``{"a": {p: TimeBreakdown}, "b": ..., "c": ..., "d": ...}``.
     """
     platform = REFERENCE_PLATFORM if platform is None else platform
-    runner = ExperimentRunner(platform, **(runner_kwargs or {}))
     panels = breakdown_chart_cases(molecule, servers)
     out: Dict[str, Dict[int, TimeBreakdown]] = {}
-    for key, cases in panels.items():
-        records = runner.run_design(cases)
-        out[key] = {r.case.servers: r.breakdown for r in records}
+    for key, cells in panels.items():
+        records, _ = run_workload_design(cells, platform)
+        out[key] = {r.cell.servers: r.breakdown for r in records}
     return out
 
 
@@ -58,7 +55,7 @@ PANEL_TITLES = {
 
 
 # ----------------------------------------------------------------------
-def figure3_parameter_space() -> List[ExperimentCase]:
+def figure3_parameter_space() -> List[WorkloadCell]:
     """Figure 3: the calibration parameter space (the design itself)."""
     from ..experiments.cases import full_design
 
@@ -68,8 +65,7 @@ def figure3_parameter_space() -> List[ExperimentCase]:
 # ----------------------------------------------------------------------
 def figure4_calibration(
     platform=None,
-    design: Optional[List[ExperimentCase]] = None,
-    runner_kwargs: Optional[dict] = None,
+    design: Optional[List[WorkloadCell]] = None,
 ):
     """Figure 4: measured vs model-predicted wall-clock times.
 
@@ -79,8 +75,8 @@ def figure4_calibration(
     """
     platform = REFERENCE_PLATFORM if platform is None else platform
     design = reduced_design() if design is None else design
-    runner = ExperimentRunner(platform, **(runner_kwargs or {}))
-    observations = runner.observations(design)
+    records, _ = run_workload_design(design, platform)
+    observations = [r.observation() for r in records]
     result: CalibrationResult = calibrate(observations, name=f"{platform.name}-fit")
     rows = residual_table(result, observations)
     return result, rows

@@ -1,7 +1,11 @@
-"""Systematic experimental design and execution (Jain ch. 16; Sec 2.3)."""
+"""Systematic experimental design and execution (Jain ch. 16; Sec 2.3).
+
+Designs are opal-spec workload cells; they are measured, cached and
+fanned out by the one campaign executor, :mod:`repro.workloads.campaign`.
+"""
 
 from .anova import AnovaEffect, AnovaResult, replicated_anova
-from .cache import CacheStats, ResultCache, export_jsonl, load_jsonl
+from .cache import CacheStats, ResultCache
 from .campaign import CampaignReport, render as render_campaign, run_campaign
 from .cases import (
     CUTOFF_EFFECTIVE,
@@ -10,9 +14,9 @@ from .cases import (
     STEPS,
     UPDATE_FULL,
     UPDATE_PARTIAL,
-    ExperimentCase,
     breakdown_chart_cases,
     full_design,
+    opal_cell,
     paper_factors,
     reduced_design,
 )
@@ -25,14 +29,6 @@ from .factorial import (
     sign_table_effects,
 )
 from .measurement import MeasurementStats, repeat, summarize
-from .parallel import default_workers, run_design_parallel
-from .runner import (
-    DEFAULT_JITTER,
-    ExperimentRecord,
-    ExperimentRunner,
-    derive_cell_seed,
-    measure_case,
-)
 
 __all__ = [
     "AnovaEffect",
@@ -41,11 +37,7 @@ __all__ = [
     "CampaignReport",
     "CUTOFF_EFFECTIVE",
     "CUTOFF_INEFFECTIVE",
-    "DEFAULT_JITTER",
     "EffectEstimate",
-    "ExperimentCase",
-    "ExperimentRecord",
-    "ExperimentRunner",
     "Factor",
     "MeasurementStats",
     "ResultCache",
@@ -54,22 +46,17 @@ __all__ = [
     "UPDATE_FULL",
     "UPDATE_PARTIAL",
     "breakdown_chart_cases",
-    "default_workers",
-    "derive_cell_seed",
     "design_size",
-    "export_jsonl",
     "fractional_factorial",
     "full_design",
     "full_factorial",
-    "load_jsonl",
-    "measure_case",
+    "opal_cell",
     "paper_factors",
     "reduced_design",
     "repeat",
     "render_campaign",
     "replicated_anova",
     "run_campaign",
-    "run_design_parallel",
     "sign_table_effects",
     "summarize",
 ]

@@ -1,17 +1,16 @@
 """Content-addressed on-disk cache for simulated experiment results.
 
 Every design cell is fully determined by its inputs: the
-:class:`~repro.experiments.cases.ExperimentCase`, the platform's key
-data, the measurement protocol (sync mode, jitter, repetitions) and the
-base seed.  A stable SHA-256 digest over that content addresses the
-cell's measured :class:`~repro.experiments.runner.ExperimentRecord` on
-disk, so repeated campaigns, benchmarks and figure scripts skip
-already-simulated cells entirely — serial and parallel runners share
-the same cache and the same keys.
+:class:`~repro.workloads.campaign.WorkloadCell`, the platform's key
+data, the measurement protocol (jitter, repetitions) and the base seed.
+A stable SHA-256 digest over that content addresses the cell's measured
+record on disk (see :func:`repro.workloads.campaign.run_workload_design`),
+so repeated campaigns, benchmarks and figure scripts skip
+already-simulated cells entirely — serial and pooled runs share the
+same cache and the same keys.  The cache also stores fitted
+calibrations (:mod:`repro.serve.calibstore`).
 
-The cache stores plain JSON (one file per cell under ``cache_dir``),
-which doubles as the per-cell record format: :func:`export_jsonl`
-writes a design's records as one JSON line each for the analysis layer.
+The cache stores plain JSON, one file per entry under ``cache_dir``.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ import pathlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from ..core.breakdown import TimeBreakdown
-from ..opal.complexes import ComplexSpec
-from .cases import ExperimentCase
+from ..atomic import write_atomic
 from .measurement import MeasurementStats
 
 PathLike = Union[str, pathlib.Path]
@@ -76,68 +73,6 @@ def platform_key_data(platform) -> dict:
     return dataclasses.asdict(platform)
 
 
-def cell_key_payload(
-    case: ExperimentCase,
-    platform,
-    sync_mode: str,
-    jitter_sigma: float,
-    seed: int,
-    repetitions: int,
-    kind: str = "cell",
-    faults=None,
-) -> dict:
-    """The canonical cache-key payload for one design cell.
-
-    The single source of truth for cell addressing: the serial runner
-    and the parallel executor must produce identical keys for the same
-    inputs, or warm-cache runs would re-simulate.  A chaos spec
-    (``faults``, a :class:`~repro.netsim.FaultSpec`) joins the key only
-    when present, so fault-free keys — and any cache populated before
-    chaos campaigns existed — stay exactly as they were.
-    """
-    payload = {
-        "kind": kind,
-        "case": case.key_data(),
-        "platform": platform_key_data(platform),
-        "sync_mode": sync_mode,
-        "jitter_sigma": jitter_sigma,
-        "seed": seed,
-        "repetitions": repetitions,
-    }
-    if faults is not None:
-        payload["chaos"] = faults.as_dict()
-    return payload
-
-
-def case_to_dict(case: ExperimentCase) -> dict:
-    """An ExperimentCase as JSON-able data.
-
-    The key data plus the molecule's (cosmetic, key-irrelevant)
-    description so records round-trip losslessly.
-    """
-    d = case.key_data()
-    d["molecule"]["description"] = case.molecule.description
-    return d
-
-
-def case_from_dict(d: dict) -> ExperimentCase:
-    """Rebuild an ExperimentCase from :func:`case_to_dict` output."""
-    mol = d["molecule"]
-    return ExperimentCase(
-        molecule=ComplexSpec(
-            name=mol["name"],
-            protein_atoms=mol["protein_atoms"],
-            waters=mol["waters"],
-            density=mol["density"],
-            description=mol.get("description", ""),
-        ),
-        servers=d["servers"],
-        cutoff=d["cutoff"],
-        update_interval=d["update_interval"],
-        steps=d["steps"],
-    )
-
-
 def stats_to_dict(stats: MeasurementStats) -> dict:
     """MeasurementStats as JSON-able data."""
     return {"values": list(stats.values), "mean": stats.mean, "std": stats.std}
@@ -147,32 +82,6 @@ def stats_from_dict(d: dict) -> MeasurementStats:
     """Rebuild MeasurementStats from :func:`stats_to_dict` output."""
     return MeasurementStats(
         values=tuple(d["values"]), mean=d["mean"], std=d["std"]
-    )
-
-
-def record_to_dict(record) -> dict:
-    """An ExperimentRecord as plain JSON-able data.
-
-    ``last_result`` is deliberately dropped: it may reference a live
-    cluster and only exists for ``keep_results=True`` debugging runs,
-    which bypass the cache.
-    """
-    return {
-        "case": case_to_dict(record.case),
-        "breakdown": record.breakdown.as_dict(),
-        "wall_stats": stats_to_dict(record.wall_stats),
-    }
-
-
-def record_from_dict(d: dict):
-    """Rebuild an ExperimentRecord from :func:`record_to_dict` output."""
-    from .runner import ExperimentRecord  # avoid an import cycle
-
-    return ExperimentRecord(
-        case=case_from_dict(d["case"]),
-        breakdown=TimeBreakdown(**d["breakdown"]),
-        wall_stats=stats_from_dict(d["wall_stats"]),
-        last_result=None,
     )
 
 
@@ -253,12 +162,13 @@ class ResultCache:
         return value
 
     def store(self, key: str, value: dict) -> None:
-        """Persist ``value`` under ``key`` (atomic rename, LRU-bounded)."""
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(value, fh)
-        tmp.replace(path)
+        """Persist ``value`` under ``key`` (atomic rename, LRU-bounded).
+
+        Safe against concurrent stores of the same key from any number
+        of threads or processes sharing the directory: each write has
+        its own temporary file.
+        """
+        write_atomic(self._path(key), json.dumps(value))
         with self._lock:
             self.stats.stores += 1
             self._touch(key)
@@ -291,26 +201,3 @@ class ResultCache:
         with self._lock:
             self._recency.clear()
         return n
-
-
-# ----------------------------------------------------------------------
-def export_jsonl(records: Iterable, path: PathLike) -> int:
-    """Write per-cell records as JSON lines; returns the line count."""
-    n = 0
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True))
-            fh.write("\n")
-            n += 1
-    return n
-
-
-def load_jsonl(path: PathLike) -> List:
-    """Load records written by :func:`export_jsonl`."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
-    return records

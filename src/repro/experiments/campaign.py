@@ -14,7 +14,8 @@ modeling and prediction"; this module is that integration as an API:
 5. **verdict** — the platform ranking and the headline comparisons.
 
 `run_campaign()` returns a structured `CampaignReport`; `render()` turns
-it into the study a human would read.
+it into the study a human would read.  Probe and design both measure
+through the one campaign executor (:mod:`repro.workloads.campaign`).
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from ..core.prediction import (
 )
 from ..errors import DesignError
 from ..opal.complexes import MEDIUM, ComplexSpec
-from .cache import CacheStats
-from .cases import CUTOFF_EFFECTIVE, ExperimentCase, reduced_design
+from ..workloads import campaign as executor
+from .cache import CacheStats, ResultCache
+from .cases import CUTOFF_EFFECTIVE, opal_cell, reduced_design
 from .measurement import MeasurementStats
-from .runner import ExperimentRunner
 
 
 @dataclass
@@ -88,13 +89,12 @@ def run_campaign(
     reference,
     candidates: Sequence,
     molecule: ComplexSpec = MEDIUM,
-    design: Optional[List[ExperimentCase]] = None,
+    design: Optional[List["executor.WorkloadCell"]] = None,
     scenarios: Optional[Dict[str, Optional[float]]] = None,
     servers: Sequence[int] = tuple(range(1, 8)),
     probe_repetitions: int = 6,
     jitter_sigma: float = 0.004,
     seed: int = 0,
-    parallel: bool = False,
     workers: Optional[int] = None,
     cache_dir=None,
     progress=None,
@@ -142,36 +142,40 @@ def run_campaign(
     )
     design = reduced_design() if design is None else design
 
-    runner = ExperimentRunner(
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    probe_cell = opal_cell(
+        molecule, max(servers) // 2 + 1, CUTOFF_EFFECTIVE, update_interval=1
+    )
+    probe, probe_runs = executor.measure_probe(
         reference,
+        probe_cell,
+        repetitions=probe_repetitions,
         jitter_sigma=jitter_sigma,
-        seed=seed,
-        parallel=parallel,
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
+        base_seed=seed,
+        cache=cache,
         obs=obs,
-        faults=faults,
     )
-    probe_case = ExperimentCase(
-        molecule=molecule,
-        servers=max(servers) // 2 + 1,
-        cutoff=CUTOFF_EFFECTIVE,
-        update_interval=1,
-    )
-    probe = runner.variability_probe(probe_case, repetitions=probe_repetitions)
     if not probe.reproducible(cv_threshold=0.05):
         raise DesignError(
             f"measurements not reproducible (CV {probe.coefficient_of_variation:.1%}); "
             "is the system dedicated?"
         )
 
-    records = runner.run_design(design)
+    records, simulated = executor.run_workload_design(
+        design,
+        reference,
+        jitter_sigma=jitter_sigma,
+        base_seed=seed,
+        workers=workers,
+        cache=cache,
+        faults=faults,
+        progress=progress,
+        obs=obs,
+    )
     observations = [r.observation() for r in records]
     calibration = calibrate(observations, name=f"{reference.name}-calibrated")
     if obs is not None:
         obs.set_model_params(calibration.params)
-        obs.absorb_cache_stats(runner.cache_stats)
     if store_dir is not None:
         from ..obs.ingest import ingest_records
         from ..obs.store import TelemetryStore
@@ -191,8 +195,8 @@ def run_campaign(
         reference_platform=reference.name,
         probe=probe,
         calibration=calibration,
-        simulations_run=runner.simulations_run,
-        cache_stats=runner.cache_stats,
+        simulations_run=probe_runs + simulated,
+        cache_stats=cache.stats if cache is not None else None,
     )
     for label, cutoff in scenarios.items():
         app = ApplicationParams(

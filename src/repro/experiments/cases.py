@@ -11,15 +11,19 @@ Four isolated factors:
 The full factorial is the paper's 84-experiment design
 (7 x 3 x 2 x 2); the published charts use the reduced ``7 * 2^(3-1)``
 half fraction over {size in (medium, large)} x {cutoff} x {update}.
+
+Every design is a list of opal-spec
+:class:`~repro.workloads.campaign.WorkloadCell` objects, measured by the
+one campaign executor (:func:`repro.workloads.campaign.run_workload_design`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..core.parameters import ApplicationParams
 from ..opal.complexes import LARGE, MEDIUM, SMALL, ComplexSpec
+from ..workloads import campaign as executor
+from ..workloads import get_family
 from .factorial import Factor, fractional_factorial, full_factorial
 
 #: The paper's effective cutoff radius [Angstrom].
@@ -37,54 +41,21 @@ UPDATE_FULL = 1
 UPDATE_PARTIAL = 10
 
 
-@dataclass(frozen=True)
-class ExperimentCase:
-    """One cell of the design, resolvable to ApplicationParams."""
-
-    molecule: ComplexSpec
-    servers: int
-    cutoff: Optional[float]
-    update_interval: int
-    steps: int = STEPS
-
-    @property
-    def label(self) -> str:
-        """Human-readable cell label, e.g. 'medium/p=3/cutoff=10A/...'."""
-        cut = "none" if self.cutoff is None else f"{self.cutoff:g}A"
-        upd = "full" if self.update_interval == 1 else f"1/{self.update_interval}"
-        return (
-            f"{self.molecule.name}/p={self.servers}/cutoff={cut}/update={upd}"
-        )
-
-    def app(self) -> ApplicationParams:
-        """The cell resolved to ApplicationParams."""
-        return ApplicationParams(
-            molecule=self.molecule,
-            steps=self.steps,
-            servers=self.servers,
-            update_interval=self.update_interval,
-            cutoff=self.cutoff,
-        )
-
-    def key_data(self) -> dict:
-        """JSON-able content that fully identifies this cell.
-
-        Used for deterministic per-cell seed derivation and as part of
-        the result-cache key: two cells with the same key data are the
-        same experiment, independent of their position in a design.
-        """
-        return {
-            "molecule": {
-                "name": self.molecule.name,
-                "protein_atoms": self.molecule.protein_atoms,
-                "waters": self.molecule.waters,
-                "density": self.molecule.density,
-            },
-            "servers": self.servers,
-            "cutoff": self.cutoff,
-            "update_interval": self.update_interval,
-            "steps": self.steps,
-        }
+def opal_cell(
+    molecule: ComplexSpec,
+    servers: int,
+    cutoff: Optional[float],
+    update_interval: int,
+    steps: int = STEPS,
+) -> "executor.WorkloadCell":
+    """One cell of the paper's design as an opal-spec workload cell."""
+    spec = get_family("opal").spec(
+        molecule=molecule.name,
+        cutoff=cutoff,
+        update_interval=update_interval,
+        steps=steps,
+    )
+    return executor.WorkloadCell(spec, servers)
 
 
 def paper_factors(
@@ -99,26 +70,25 @@ def paper_factors(
     ]
 
 
-def _rows_to_cases(rows) -> List[ExperimentCase]:
-    return [
-        ExperimentCase(
-            molecule=r["molecule"],
-            servers=r["servers"],
-            cutoff=None if r["cutoff"] >= CUTOFF_INEFFECTIVE else r["cutoff"],
-            update_interval=r["update_interval"],
-        )
-        for r in rows
-    ]
+def _effective(cutoff: float) -> Optional[float]:
+    """The large ineffective cutoff is the no-cutoff regime (None)."""
+    return None if cutoff >= CUTOFF_INEFFECTIVE else cutoff
 
 
 def full_design(
     sizes: Sequence[ComplexSpec] = (SMALL, MEDIUM, LARGE),
-) -> List[ExperimentCase]:
+) -> List["executor.WorkloadCell"]:
     """The 84-experiment full factorial (7 x |sizes| x 2 x 2)."""
-    return _rows_to_cases(full_factorial(paper_factors(sizes)))
+    return [
+        opal_cell(
+            r["molecule"], r["servers"], _effective(r["cutoff"]),
+            r["update_interval"],
+        )
+        for r in full_factorial(paper_factors(sizes))
+    ]
 
 
-def reduced_design() -> List[ExperimentCase]:
+def reduced_design() -> List["executor.WorkloadCell"]:
     """The published ``7 * 2^(3-1)`` fraction: for each server count, the
     half fraction of {size, cutoff, update} with generator
     update = size * cutoff."""
@@ -130,22 +100,13 @@ def reduced_design() -> List[ExperimentCase]:
     fraction = fractional_factorial(
         two_level, generators=["update_interval=molecule*cutoff"]
     )
-    cases: List[ExperimentCase] = []
-    for p in SERVER_RANGE:
-        for row in fraction:
-            cases.append(
-                ExperimentCase(
-                    molecule=row["molecule"],
-                    servers=p,
-                    cutoff=(
-                        None
-                        if row["cutoff"] >= CUTOFF_INEFFECTIVE
-                        else row["cutoff"]
-                    ),
-                    update_interval=row["update_interval"],
-                )
-            )
-    return cases
+    return [
+        opal_cell(
+            row["molecule"], p, _effective(row["cutoff"]), row["update_interval"]
+        )
+        for p in SERVER_RANGE
+        for row in fraction
+    ]
 
 
 def breakdown_chart_cases(
@@ -163,14 +124,6 @@ def breakdown_chart_cases(
         "d": (CUTOFF_EFFECTIVE, UPDATE_PARTIAL),
     }
     return {
-        key: [
-            ExperimentCase(
-                molecule=molecule,
-                servers=p,
-                cutoff=cut,
-                update_interval=upd,
-            )
-            for p in servers
-        ]
+        key: [opal_cell(molecule, p, cut, upd) for p in servers]
         for key, (cut, upd) in panels.items()
     }

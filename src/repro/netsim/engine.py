@@ -1,42 +1,29 @@
 """Discrete-event simulation kernel.
 
 A minimal, dependency-free event engine in the style of SimPy, tuned for
-the message-passing cluster models in this package.  Two interchangeable
-schedulers are provided:
+the message-passing cluster models in this package.
 
-``calendar`` (the default)
-    An array-backed calendar queue: events are bucketed by time instant
-    (a dict mapping each pending timestamp to a Python-list bucket) and
-    a small binary heap orders only the *distinct* timestamps.  Within a
-    bucket events drain FIFO, which — because the engine hands out
-    monotonically increasing sequence numbers at scheduling time — is
-    exactly the ``(time, seq)`` order of the classic heap.  Message
-    passing workloads schedule many events at identical instants
-    (barrier releases, zero-delay resumes, same-hold transfers), so the
-    heap shrinks from one entry per event to one entry per instant and
-    the per-event cost drops to a dict lookup plus a list append.
+The scheduler is an array-backed calendar queue: events are bucketed by
+time instant (a dict mapping each pending timestamp to a Python-list
+bucket) and a small binary heap orders only the *distinct* timestamps.
+Within a bucket events drain FIFO, which is exactly the ``(time,
+scheduling order)`` order of a classic binary heap of events.  Message
+passing workloads schedule many events at identical instants (barrier
+releases, zero-delay resumes, same-hold transfers), so the heap holds
+one entry per instant rather than one per event and the per-event cost
+drops to a dict lookup plus a list append.  The test suite checks this
+order against a reference binary-heap engine.
 
-``heap``
-    The original binary heap of ``(time, seq, callback)`` entries, kept
-    for differential testing: both schedulers must produce bit-identical
-    event orderings (see ``tests/netsim/test_engine.py`` and the
-    randomized differential property test).
-
-Determinism is guaranteed by the tie-breaking sequence number — two
-events scheduled for the same instant fire in scheduling order under
-either scheduler.
+Determinism is guaranteed by that FIFO tie-break — two events scheduled
+for the same instant fire in scheduling order.
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..errors import DeadlockError, PastEventError, SimulationError
-
-#: Scheduler implementations selectable via ``Engine(scheduler=...)``.
-SCHEDULERS = ("calendar", "heap")
 
 
 class Engine:
@@ -48,9 +35,6 @@ class Engine:
     """
 
     __slots__ = (
-        "scheduler",
-        "_calendar",
-        "_queue",
         "_buckets",
         "_times",
         "_pending",
@@ -62,16 +46,8 @@ class Engine:
         "max_queue_depth",
     )
 
-    def __init__(self, scheduler: str = "calendar") -> None:
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
-        self._calendar = scheduler == "calendar"
-        # heap path: one (time, seq, callback) entry per event
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
-        # calendar path: bucket per pending instant + heap of instants
+    def __init__(self) -> None:
+        # bucket per pending instant + heap of the distinct instants
         self._buckets: Dict[float, List[Callable[[], None]]] = {}
         self._times: List[float] = []
         self._pending = 0
@@ -102,20 +78,15 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         time = self._now + delay
-        if self._calendar:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [callback]
-                heappush(self._times, time)
-            else:
-                bucket.append(callback)
-            self._pending += 1
-            depth = self._pending
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [callback]
+            heappush(self._times, time)
         else:
-            heappush(self._queue, (time, self._seq, callback))
-            depth = len(self._queue)
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
+            bucket.append(callback)
+        self._pending += 1
+        if self._pending > self.max_queue_depth:
+            self.max_queue_depth = self._pending
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute virtual ``time``.
@@ -145,30 +116,15 @@ class Engine:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         try:
-            if self._calendar:
-                self._run_calendar(until)
-            else:
-                self._run_heap(until)
+            self._drain(until)
             if until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False
         return self._now
 
-    def _run_heap(self, until: Optional[float]) -> None:
-        queue = self._queue
-        while queue:
-            time, _seq, callback = queue[0]
-            if until is not None and time > until:
-                break
-            heappop(queue)
-            if time < self._now:
-                raise SimulationError("event queue time went backwards")
-            self._now = time
-            self.events_executed += 1
-            callback()
-
-    def _run_calendar(self, until: Optional[float]) -> None:
+    def _drain(self, until: Optional[float]) -> None:
+        """Fire events in (time, scheduling order) up to ``until``."""
         times = self._times
         buckets = self._buckets
         horizon = float("inf") if until is None else until
@@ -194,8 +150,8 @@ class Engine:
                     callback()
             finally:
                 # Counted in bulk per bucket; a raising callback still
-                # counts as executed (the heap path increments before
-                # invoking), and nothing reads the counter mid-run.
+                # counts as executed, and nothing reads the counter
+                # mid-run.
                 self.events_executed += i
                 if i < len(bucket):  # callback raised mid-bucket
                     buckets[time] = bucket[i:]
@@ -220,6 +176,4 @@ class Engine:
 
     def pending(self) -> int:
         """Number of events still queued."""
-        if self._calendar:
-            return self._pending
-        return len(self._queue)
+        return self._pending

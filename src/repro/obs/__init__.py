@@ -17,7 +17,7 @@ calibratable.  This package is that claim turned into a subsystem:
   lossless JSONL span/metric dump;
 * :mod:`repro.obs.session` — :class:`ObsSession`, the ``obs=`` hook
   threaded through :func:`repro.opal.parallel.run_parallel_opal`,
-  :class:`repro.experiments.ExperimentRunner` and
+  :func:`repro.workloads.campaign.run_workload_design` and
   :func:`repro.experiments.run_campaign`, merging whole factorial
   campaigns into one trace;
 * :mod:`repro.obs.report` — the measured-vs-model join: per response

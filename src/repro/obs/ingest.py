@@ -10,10 +10,10 @@ family (see :data:`~repro.obs.store.KNOWN_DATASETS`).
 Determinism contract: every adapter appends rows in an order that is a
 pure function of its *input* — design order for campaign records,
 sorted filename order for cache directories, span order for traces —
-never of execution interleaving.  Since the serial and pooled
-experiment runners both return records in design order, ingesting
-either run produces bit-identical stores (the property the round-trip
-tests pin via :meth:`TelemetryStore.content_digest`).
+never of execution interleaving.  Since the campaign executor returns
+records in design order on its serial and pooled paths alike,
+ingesting either run produces bit-identical stores (the property the
+round-trip tests pin via :meth:`TelemetryStore.content_digest`).
 
 Drift batching: each :func:`ingest_records` call stamps its rows with a
 ``batch`` index (the count of prior ``residuals`` segments), so one
@@ -28,8 +28,9 @@ import math
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from ..core.model import OpalPerformanceModel, terms_breakdown
 from ..errors import TelemetryError
-from .report import RESPONSE_VARIABLES, Residual, join_residuals
+from .report import RESPONSE_VARIABLES, Residual
 from .store import TelemetryStore
 
 PathLike = Union[str, pathlib.Path]
@@ -51,117 +52,62 @@ def ingest_records(
 ) -> List[str]:
     """Campaign cell records -> ``cells`` (+ ``residuals`` with a model).
 
-    ``records`` are :class:`~repro.experiments.runner.ExperimentRecord`
-    objects in design order.  With ``params`` (calibrated
+    ``records`` are :class:`~repro.workloads.campaign.WorkloadRecord`
+    objects of any family, in design order.  Opal cells fill the
+    paper's factor columns (``molecule``, ``cutoff``,
+    ``update_interval``, ``steps``); other families put their spec
+    label in ``molecule``, the missing values in the Opal-only factors
+    (NaN cutoff, zero update interval) and their program's step count
+    in ``steps`` — so every campaign shares one store and the
+    query/SLO/drift layers work unchanged.
+
+    With ``params`` (the campaign's fitted
     :class:`~repro.core.parameters.ModelPlatformParams`) the
     measured-vs-model join also lands in ``residuals``, one row per
-    (cell, response variable), stamped with this ingest's batch index.
-    Returns the new segment ids.
+    (cell, response variable), stamped with this ingest's batch index:
+    Opal cells against the classic model of equations (2)-(10) (the
+    units :func:`~repro.core.calibration.calibrate` fits), the others
+    against their family's closed-form terms
+    (:func:`~repro.core.calibration.calibrate_terms`).  Returns the new
+    segment ids.
     """
     if not records:
         raise TelemetryError("nothing to ingest: empty record sequence")
     batch = len(store.segments("residuals"))
-    cells = _empty_cells_columns()
-    for record in records:
-        case = record.case
-        cells["run"].append(case.label)
-        cells["family"].append("opal")
-        cells["molecule"].append(case.molecule.name)
-        cells["servers"].append(int(case.servers))
-        cells["cutoff"].append(_nan(case.cutoff))
-        cells["update_interval"].append(int(case.update_interval))
-        cells["steps"].append(int(case.steps))
-        cells["wall_mean"].append(float(record.wall_stats.mean))
-        cells["wall_std"].append(float(record.wall_stats.std))
-        cells["reps"].append(len(record.wall_stats.values))
-        cells["total_s"].append(float(record.breakdown.total))
-        cells["batch"].append(batch)
-        for variable in RESPONSE_VARIABLES:
-            cells[variable].append(float(getattr(record.breakdown, variable)))
-    segments = [store.append("cells", cells, meta=meta)]
-
-    if params is not None:
-        rows = [(r.case.label, r.app, r.breakdown) for r in records]
-        residuals = _empty_residual_columns()
-        for res in join_residuals(rows, params):
-            _append_residual(residuals, res, family="opal", batch=batch)
-        segments.append(store.append("residuals", residuals, meta=meta))
-    return segments
-
-
-def _empty_cells_columns() -> Dict[str, List[Any]]:
-    """The shared ``cells`` schema (first segment fixes the columns)."""
     cells: Dict[str, List[Any]] = {
-        "run": [], "family": [], "molecule": [], "servers": [], "cutoff": [],
-        "update_interval": [], "steps": [], "wall_mean": [], "wall_std": [],
-        "reps": [], "total_s": [], "batch": [],
+        name: []
+        for name in (
+            "run", "family", "molecule", "servers", "cutoff",
+            "update_interval", "steps", "wall_mean", "wall_std", "reps",
+            "total_s", "batch", *RESPONSE_VARIABLES,
+        )
     }
-    for variable in RESPONSE_VARIABLES:
-        cells[variable] = []
-    return cells
-
-
-def _empty_residual_columns() -> Dict[str, List[Any]]:
-    """The shared ``residuals`` schema (first segment fixes the columns)."""
-    return {
-        "run": [], "family": [], "variable": [], "measured": [],
-        "predicted": [], "residual": [], "relative": [], "batch": [],
+    residuals: Dict[str, List[Any]] = {
+        name: []
+        for name in (
+            "run", "family", "variable", "measured", "predicted",
+            "residual", "relative", "batch",
+        )
     }
-
-
-def _append_residual(
-    columns: Dict[str, List[Any]], res: Any, family: str, batch: int
-) -> None:
-    columns["run"].append(res.run)
-    columns["family"].append(family)
-    columns["variable"].append(res.variable)
-    columns["measured"].append(res.measured)
-    columns["predicted"].append(res.predicted)
-    columns["residual"].append(res.residual)
-    columns["relative"].append(res.relative)
-    columns["batch"].append(batch)
-
-
-def ingest_workload_records(
-    store: TelemetryStore,
-    records: Sequence[Any],
-    params: Optional[Any] = None,
-    meta: Optional[Dict[str, Any]] = None,
-) -> List[str]:
-    """Workload campaign records -> ``cells`` (+ ``residuals``).
-
-    ``records`` are :class:`~repro.workloads.campaign.WorkloadRecord`
-    objects in design order.  The columns match :func:`ingest_records`
-    exactly — ``family`` carries the workload family, ``molecule``
-    carries the spec label, Opal-only factors land as their missing
-    values (NaN cutoff, zero update interval) — so opal and workload
-    campaigns can share one store and the query/SLO/drift layers work
-    unchanged.  With ``params`` (a family calibration) residuals are
-    joined through the family's closed-form terms.
-    """
-    from ..core.model import terms_breakdown
-    from ..errors import WorkloadError
-    from ..workloads import get_family
-
-    if not records:
-        raise TelemetryError("nothing to ingest: empty record sequence")
-    batch = len(store.segments("residuals"))
-    cells = _empty_cells_columns()
-    residuals = _empty_residual_columns()
     for record in records:
         cell = record.cell
-        family = get_family(cell.spec.family)
-        try:
+        family = cell.family
+        app = cell.app
+        if app is not None:
+            molecule, cutoff = app.molecule.name, _nan(app.cutoff)
+            update_interval, steps = app.update_interval, app.steps
+        else:
+            molecule, cutoff, update_interval = (
+                family.spec_label(cell.spec), float("nan"), 0
+            )
             steps = len(family.compile(cell.spec, cell.servers))
-        except WorkloadError:
-            steps = int(cell.spec.params_dict().get("steps", 0))
         cells["run"].append(cell.label)
         cells["family"].append(cell.spec.family)
-        cells["molecule"].append(family.spec_label(cell.spec))
+        cells["molecule"].append(molecule)
         cells["servers"].append(int(cell.servers))
-        cells["cutoff"].append(float("nan"))
-        cells["update_interval"].append(0)
-        cells["steps"].append(steps)
+        cells["cutoff"].append(cutoff)
+        cells["update_interval"].append(int(update_interval))
+        cells["steps"].append(int(steps))
         cells["wall_mean"].append(float(record.wall_stats.mean))
         cells["wall_std"].append(float(record.wall_stats.std))
         cells["reps"].append(len(record.wall_stats.values))
@@ -169,20 +115,29 @@ def ingest_workload_records(
         cells["batch"].append(batch)
         for variable in RESPONSE_VARIABLES:
             cells[variable].append(float(getattr(record.breakdown, variable)))
-        if params is not None:
+        if params is None:
+            continue
+        if app is not None:
+            predicted = OpalPerformanceModel(params).breakdown(app)
+        else:
             predicted = terms_breakdown(
                 params, family.terms(cell.spec, cell.servers)
             )
-            for variable in RESPONSE_VARIABLES:
-                res = Residual(
-                    run=cell.label,
-                    variable=variable,
-                    measured=float(getattr(record.breakdown, variable)),
-                    predicted=float(getattr(predicted, variable)),
-                )
-                _append_residual(
-                    residuals, res, family=cell.spec.family, batch=batch
-                )
+        for variable in RESPONSE_VARIABLES:
+            res = Residual(
+                run=cell.label,
+                variable=variable,
+                measured=getattr(record.breakdown, variable),
+                predicted=getattr(predicted, variable),
+            )
+            residuals["run"].append(res.run)
+            residuals["family"].append(cell.spec.family)
+            residuals["variable"].append(variable)
+            residuals["measured"].append(res.measured)
+            residuals["predicted"].append(res.predicted)
+            residuals["residual"].append(res.residual)
+            residuals["relative"].append(res.relative)
+            residuals["batch"].append(batch)
     segments = [store.append("cells", cells, meta=meta)]
     if params is not None:
         segments.append(store.append("residuals", residuals, meta=meta))
@@ -199,12 +154,12 @@ def ingest_cache_dir(
 
     Entries load in sorted filename order (content addresses), so two
     ingests of the same cache are bit-identical regardless of the order
-    the campaign populated it.  Probe entries (bare measurement stats,
-    no ``case``) are skipped — they carry no breakdown to ingest.
+    the campaign populated it.  Entries that are not cell records (probe
+    stats, calibrations) are skipped — they carry no breakdown to ingest.
     """
     import json
 
-    from ..experiments.cache import record_from_dict
+    from ..workloads.campaign import workload_record_from_dict
 
     root = pathlib.Path(cache_dir)
     records = []
@@ -213,8 +168,8 @@ def ingest_cache_dir(
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             continue
-        if isinstance(payload, dict) and "case" in payload:
-            records.append(record_from_dict(payload))
+        if isinstance(payload, dict) and "workload_cell" in payload:
+            records.append(workload_record_from_dict(payload))
     if not records:
         raise TelemetryError(f"no cell records found under {root}")
     ingest_meta = {"source": str(root), **(meta or {})}

@@ -2,7 +2,7 @@
 
 An :class:`ObsSession` is handed to
 :func:`repro.opal.parallel.run_parallel_opal`,
-:class:`repro.experiments.ExperimentRunner` or
+:func:`repro.workloads.campaign.run_workload_design` or
 :func:`repro.experiments.run_campaign`; every simulated run absorbed
 into it contributes its spans, flow edges, metrics and measured
 breakdown, so a whole factorial campaign exports as **one** merged

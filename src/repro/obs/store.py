@@ -45,12 +45,12 @@ import json
 import os
 import pathlib
 import re
-import tempfile
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from ..atomic import write_atomic
 from ..errors import TelemetryError
 
 PathLike = Union[str, pathlib.Path]
@@ -119,17 +119,10 @@ class TelemetryStore:
 
     def _write_manifest(self) -> None:
         """Replace the manifest atomically (same-directory temp file)."""
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".manifest.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(self._manifest, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp_name, self._manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            self._manifest_path,
+            json.dumps(self._manifest, indent=2, sort_keys=True) + "\n",
+        )
 
     # -- appending ------------------------------------------------------
     def append(

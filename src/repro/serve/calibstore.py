@@ -29,11 +29,12 @@ from concurrent.futures import Executor
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.calibration import calibrate
+from ..core.calibration import calibrate, calibrate_terms
 from ..core.parameters import ModelPlatformParams
 from ..experiments.cache import ResultCache, platform_key_data
-from ..experiments.cases import ExperimentCase, reduced_design
-from ..experiments.runner import DEFAULT_JITTER, ExperimentRunner
+from ..experiments.cases import reduced_design
+from ..workloads import get_family
+from ..workloads.campaign import DEFAULT_JITTER, WorkloadCell, run_workload_design
 
 #: Where a query's parameters came from (reported in every response).
 SOURCE_KEY_DATA = "key-data"
@@ -82,7 +83,7 @@ class CalibrationStore:
 
     def __init__(
         self,
-        design: Optional[List[ExperimentCase]] = None,
+        design: Optional[List[WorkloadCell]] = None,
         seed: int = 0,
         jitter_sigma: float = DEFAULT_JITTER,
         repetitions: int = 1,
@@ -94,6 +95,8 @@ class CalibrationStore:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
         self.design = list(design) if design is not None else reduced_design()
+        #: the design's share of every key, built once (keys are per request)
+        self._design_key_data = [cell.key_data() for cell in self.design]
         self.seed = seed
         self.jitter_sigma = jitter_sigma
         self.repetitions = repetitions
@@ -118,7 +121,7 @@ class CalibrationStore:
             {
                 "kind": "calibration",
                 "platform": platform_key_data(spec),
-                "design": [case.key_data() for case in self.design],
+                "design": self._design_key_data,
                 "protocol": {
                     "seed": self.seed,
                     "jitter_sigma": self.jitter_sigma,
@@ -135,14 +138,16 @@ class CalibrationStore:
         only ever called off the event loop (via an executor) or from
         synchronous tools like the CLI.
         """
-        runner = ExperimentRunner(
+        records, _ = run_workload_design(
+            self.design,
             spec,
             jitter_sigma=self.jitter_sigma,
             repetitions=self.repetitions,
-            seed=self.seed,
+            base_seed=self.seed,
         )
         result = calibrate(
-            runner.observations(self.design), name=f"{spec.name}-serve-fit"
+            [r.observation() for r in records],
+            name=f"{spec.name}-serve-fit",
         )
         self.fits += 1
         return result.params
@@ -150,9 +155,6 @@ class CalibrationStore:
     # ------------------------------------------------------------------
     def key_for_family(self, spec, family_name: str) -> str:
         """Content address of one (platform, family) fit."""
-        from ..workloads import get_family
-        from ..workloads.campaign import WorkloadCell
-
         family = get_family(family_name)
         design = [
             WorkloadCell(s, p).key_data() for s, p in family.calibration_design()
@@ -174,23 +176,18 @@ class CalibrationStore:
 
     def fit_family(self, spec, family_name: str) -> ModelPlatformParams:
         """Measure a family's calibration design and fit (synchronous)."""
-        from ..core.calibration import calibrate_terms
-        from ..workloads import get_family
-        from ..workloads.campaign import WorkloadCell, measure_workload_cell
-
         family = get_family(family_name)
-        observations = []
-        for wl_spec, servers in family.calibration_design():
-            record = measure_workload_cell(
-                spec,
-                WorkloadCell(wl_spec, servers),
-                jitter_sigma=self.jitter_sigma,
-                repetitions=self.repetitions,
-                base_seed=self.seed,
-            )
-            observations.append(
-                (family.terms(wl_spec, servers), record.breakdown)
-            )
+        records, _ = run_workload_design(
+            [WorkloadCell(s, p) for s, p in family.calibration_design()],
+            spec,
+            jitter_sigma=self.jitter_sigma,
+            repetitions=self.repetitions,
+            base_seed=self.seed,
+        )
+        observations = [
+            (family.terms(r.cell.spec, r.cell.servers), r.breakdown)
+            for r in records
+        ]
         result = calibrate_terms(
             observations, name=f"{spec.name}-{family_name}-serve-fit"
         )
@@ -335,8 +332,6 @@ class CalibrationStore:
         family's own calibration design and the fallback derives the
         family's coefficients from the platform's technical key data.
         """
-        from ..workloads import get_family
-
         family = get_family(family_name)
         return await self._resolve_keyed(
             self.key_for_family(spec, family_name),

@@ -39,6 +39,24 @@ from .router import FleetConfig, FleetRouter, TcpWorkerClient
 _PORT_RE = re.compile(rb"serving on [^:]+:(\d+)")
 
 
+def _signal(process: "asyncio.subprocess.Process", sig: int) -> None:
+    """Send ``sig`` to a child that asyncio has not yet seen exit.
+
+    ``Process.kill()`` and friends poll first, and that poll's
+    ``waitpid`` can reap a child that has just died before asyncio's
+    child watcher does; the watcher then reports returncode 255 instead
+    of the real exit status.  Signalling the pid directly never reaps:
+    until the watcher reaps it the pid stays ours (a zombie ignores the
+    signal), so a death is always reported as it happened.
+    """
+    if process.returncode is not None:
+        return
+    try:
+        os.kill(process.pid, sig)
+    except ProcessLookupError:  # pragma: no cover - reaped meanwhile
+        pass
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """Shape of one fleet: worker count, shared stores, service knobs."""
@@ -141,18 +159,18 @@ class ServeFleet:
                 process.stdout.readline(), self.spec.spawn_timeout
             )
         except asyncio.TimeoutError:
-            process.kill()
+            _signal(process, signal.SIGKILL)
             raise RuntimeError(
                 f"worker w{slot} did not print its port within "
                 f"{self.spec.spawn_timeout}s"
             ) from None
         except asyncio.CancelledError:
             # a respawn aborted by shutdown must not orphan the child
-            process.kill()
+            _signal(process, signal.SIGKILL)
             raise
         match = _PORT_RE.search(line)
         if match is None:
-            process.kill()
+            _signal(process, signal.SIGKILL)
             raise RuntimeError(
                 f"worker w{slot} printed an unexpected banner: {line!r}"
             )
@@ -225,15 +243,13 @@ class ServeFleet:
             await self.router.stop()
         live = [p for p in self.procs.values() if p.process.returncode is None]
         for proc in live:
-            try:
-                proc.process.terminate()  # SIGTERM -> worker drains + flushes
-            except ProcessLookupError:  # pragma: no cover - racing exit
-                pass
+            # SIGTERM -> worker drains + flushes
+            _signal(proc.process, signal.SIGTERM)
         for proc in live:
             try:
                 await asyncio.wait_for(proc.process.wait(), 15.0)
             except asyncio.TimeoutError:  # pragma: no cover - wedged worker
-                proc.process.kill()
+                _signal(proc.process, signal.SIGKILL)
                 await proc.process.wait()
         for proc in self.procs.values():
             if proc.drain_task is not None:
@@ -257,8 +273,10 @@ class ServeFleet:
     async def _respawn_client(self, slot: int) -> TcpWorkerClient:
         """Router respawn hook: fresh incarnation, connected link."""
         old = self.procs.get(slot)
-        if old is not None and old.process.returncode is None:
-            old.process.kill()
+        if old is not None:
+            # a torn link usually means the process already died; the
+            # signal only matters for a wedged one that is still running
+            _signal(old.process, signal.SIGKILL)
             await old.process.wait()
         if old is not None and old.drain_task is not None:
             old.drain_task.cancel()
@@ -274,15 +292,11 @@ class ServeFleet:
     # -- chaos taps -----------------------------------------------------
     def kill_worker(self, slot: int) -> None:
         """SIGKILL one worker (abrupt crash; links tear immediately)."""
-        proc = self.procs[slot]
-        if proc.process.returncode is None:
-            proc.process.kill()
+        _signal(self.procs[slot].process, signal.SIGKILL)
 
     def stall_worker(self, slot: int) -> None:
         """SIGSTOP one worker (wedged: connected but unresponsive)."""
-        proc = self.procs[slot]
-        if proc.process.returncode is None:
-            proc.process.send_signal(signal.SIGSTOP)
+        _signal(self.procs[slot].process, signal.SIGSTOP)
 
     # -- reporting ------------------------------------------------------
     def store_dirs(self) -> List[str]:

@@ -450,6 +450,7 @@ class FleetRouter:
         self._drain_waiters: List["asyncio.Future[None]"] = []
         self._draining = False
         self._started = False
+        self._stopping = False
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
         self._respawning: set = set()
         self._tasks: set = set()
@@ -460,6 +461,7 @@ class FleetRouter:
         if self._started:
             return
         self._draining = False
+        self._stopping = False
         self._started = True
         if self.config.heartbeat > 0:
             self._heartbeat_task = asyncio.get_running_loop().create_task(
@@ -471,6 +473,7 @@ class FleetRouter:
         if not self._started:
             return
         await self.drain()
+        self._stopping = True
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             try:
@@ -566,7 +569,10 @@ class FleetRouter:
 
     async def _heartbeat_loop(self) -> None:
         """Ping every in-rotation worker on a fixed cadence."""
-        while True:
+        # the flag, not just the cancel, ends the loop: before Python
+        # 3.12 ``asyncio.wait_for`` swallows a cancellation that lands
+        # just as its ping completes or times out
+        while not self._stopping:
             await asyncio.sleep(self.config.heartbeat)
             for slot in list(self.workers):
                 if not self.alive(slot):

@@ -17,11 +17,15 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
-from ..core.parameters import FamilyWorkloadTerms, ModelPlatformParams
+from ..core.parameters import (
+    ApplicationParams,
+    FamilyWorkloadTerms,
+    ModelPlatformParams,
+)
 from ..errors import WorkloadError
 from ..netsim import FaultSpec
 from .program import PhaseStep, WorkloadRunResult, run_workload_program
-from .spec import FieldSpec, WorkloadSpec
+from .spec import FieldSpec, WorkloadSpec, spec_digest
 
 
 class WorkloadFamily(abc.ABC):
@@ -33,6 +37,8 @@ class WorkloadFamily(abc.ABC):
     summary: str = ""
     #: the schema: every parameter a spec of this family may set
     fields: Tuple[FieldSpec, ...] = ()
+    #: salt of the per-cell seeds (see ``repro.workloads.campaign``)
+    seed_salt: str = "workload"
 
     # ---- schema ------------------------------------------------------
     def field_names(self) -> Tuple[str, ...]:
@@ -93,6 +99,29 @@ class WorkloadFamily(abc.ABC):
                 parts.append(f"{key}={value}")
         return ",".join(parts) if parts else "default"
 
+    # ---- cells -------------------------------------------------------
+    def cell_key_data(self, spec: WorkloadSpec, servers: int) -> dict:
+        """Content that determines one (spec, servers) cell's results.
+
+        Hashed into the cell's seeds and its cache address; includes the
+        spec digest so a spec schema bump invalidates cached cells.
+        """
+        return {
+            "family": spec.family,
+            "spec": spec.params_dict(),
+            "spec_digest": spec_digest(spec),
+            "servers": servers,
+        }
+
+    def app(
+        self, spec: WorkloadSpec, servers: int
+    ) -> Optional[ApplicationParams]:
+        """The cell as the paper model's application parameters.
+
+        None unless equations (2)-(10) describe this family (Opal).
+        """
+        return None
+
     # ---- lowering ----------------------------------------------------
     @abc.abstractmethod
     def compile(self, spec: WorkloadSpec, servers: int) -> Tuple[PhaseStep, ...]:
@@ -124,8 +153,15 @@ class WorkloadFamily(abc.ABC):
         seed: int = 0,
         jitter_sigma: float = 0.0,
         faults: Optional[FaultSpec] = None,
+        obs=None,
+        run_label: Optional[str] = None,
     ) -> WorkloadRunResult:
-        """Measure one cell on the DES via the generic program."""
+        """Measure one cell on the DES via the generic program.
+
+        ``obs``/``run_label`` capture the run into an
+        :class:`~repro.obs.ObsSession`; the generic program records no
+        trace, so only families with their own DES program use them.
+        """
         return run_workload_program(
             self.name,
             spec,

@@ -1,44 +1,82 @@
-"""Factorial campaigns over declarative workload families.
+"""The campaign executor: design cells in, measured records out.
 
-The family-generic mirror of :mod:`repro.experiments`: a design is the
-cross product of a family's ``campaign_specs`` with a server-count
-axis; every cell measures through the family's DES program, results
-feed :func:`~repro.core.calibration.calibrate_terms`, and the fitted
-coefficients predict execution-time curves for candidate platforms
-from their technical key data.
+The one code path that addresses, seeds, measures, caches and fans out
+a design cell, for every workload family — the paper's Opal study
+(:func:`repro.experiments.run_campaign`), its figures and calibration
+fits included.  A design is a sequence of :class:`WorkloadCell`;
+:func:`run_workload_design` measures it serially or over a process pool
+and :func:`run_workload_campaign` adds the family-generic study on top:
+the cross product of a family's ``campaign_specs`` with a server-count
+axis, fitted by :func:`~repro.core.calibration.calibrate_terms` and
+predicted for candidate platforms from their technical key data.
 
-Determinism contract (same as the Opal campaign): cache keys are
-content addresses that include each spec's ``spec_digest``; per-cell
-seeds derive from cell content, not design position; the pooled runner
-probes the cache before submitting, stores in completion order and
-reassembles in design order — so serial and pooled campaigns are
-bit-identical and a warm cache executes zero simulations.
+Determinism contract: each cell's seeds derive from its content
+(:meth:`WorkloadFamily.cell_key_data` hashed with the family's
+``seed_salt``), never from its position, so jitter noise is independent
+across cells and identical in any design order, on any worker.  Cache
+keys are content addresses over the same data plus the platform and
+the measurement protocol.  The pooled runner probes the cache before
+submitting (hits never occupy a worker), stores in completion order and
+reassembles in design order — serial and pooled runs are bit-identical,
+observability included, and a warm cache executes zero simulations.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.breakdown import TimeBreakdown
 from ..core.calibration import CalibrationResult, calibrate_terms
 from ..core.model import terms_breakdown
+from ..core.parameters import ApplicationParams
 from ..core.prediction import PredictionSeries
 from ..core.speedup import speedup_curve
-from ..errors import DesignError
+from ..errors import DesignError, WorkloadError
 from ..experiments.cache import (
     CacheStats,
+    PathLike,
     ResultCache,
     platform_key_data,
     stats_from_dict,
     stats_to_dict,
 )
 from ..experiments.measurement import MeasurementStats, summarize
-from ..experiments.parallel import default_workers
-from ..experiments.runner import DEFAULT_JITTER, derive_cell_seed
+from ..obs.session import run_label
 from .base import WorkloadFamily, get_family
-from .spec import WorkloadSpec, spec_digest
+from .spec import WorkloadSpec
+
+#: Default multiplicative timing noise of simulated measurements — the
+#: "low variability" the paper confirms on the dedicated J90.
+DEFAULT_JITTER = 0.004
+
+_SEED_BITS = 63
+
+
+def default_workers() -> int:
+    """Worker count when none is requested: one per available CPU."""
+    return max(os.cpu_count() or 1, 1)
+
+
+def derive_cell_seed(base_seed: int, cell, rep: int, salt: str = "cell") -> int:
+    """Deterministic per-(cell, repetition) seed.
+
+    Hashes the cell's *content* (``cell.key_data()``), not its position
+    in the design, so the same cell gets the same seed in any design
+    order, in serial and parallel execution alike, while distinct cells
+    get independent seeds.
+    """
+    material = json.dumps(
+        {"base": base_seed, "case": cell.key_data(), "rep": rep, "salt": salt},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") >> (64 - _SEED_BITS)
 
 
 @dataclass(frozen=True)
@@ -48,25 +86,31 @@ class WorkloadCell:
     spec: WorkloadSpec
     servers: int
 
+    @property
+    def family(self) -> WorkloadFamily:
+        """The registered family this cell's spec belongs to."""
+        return get_family(self.spec.family)
+
     def key_data(self) -> dict:
         """Content that determines this cell's simulated results.
 
-        Duck-typed into :func:`derive_cell_seed`, and the cell portion
-        of the cache-key payload; includes the spec digest so a spec
-        schema bump invalidates cached cells.
+        Hashed into the cell's seeds and the cell portion of its cache
+        key (see :meth:`WorkloadFamily.cell_key_data`).
         """
-        return {
-            "family": self.spec.family,
-            "spec": self.spec.params_dict(),
-            "spec_digest": spec_digest(self.spec),
-            "servers": self.servers,
-        }
+        return self.family.cell_key_data(self.spec, self.servers)
+
+    @property
+    def app(self) -> Optional[ApplicationParams]:
+        """The classic model's parameters for this cell (Opal), else None."""
+        return self.family.app(self.spec, self.servers)
 
     @property
     def label(self) -> str:
         """Compact ``family:spec/p=N`` label for tables and telemetry."""
-        family = get_family(self.spec.family)
-        return f"{self.spec.family}:{family.spec_label(self.spec)}/p={self.servers}"
+        return (
+            f"{self.spec.family}:{self.family.spec_label(self.spec)}"
+            f"/p={self.servers}"
+        )
 
 
 @dataclass
@@ -77,11 +121,25 @@ class WorkloadRecord:
     breakdown: TimeBreakdown
     wall_stats: MeasurementStats
 
+    def observation(self) -> Tuple[Optional[ApplicationParams], TimeBreakdown]:
+        """The (app, breakdown) pair the classic calibration consumes."""
+        return (self.cell.app, self.breakdown)
+
+
+#: Called after each finished cell: ``progress(done, total, record)``.
+#: In pooled runs cells complete out of order; ``done`` is the running
+#: completion count, not the cell's design index.
+ProgressCallback = Callable[[int, int, WorkloadRecord], None]
+
 
 def workload_record_to_dict(record: WorkloadRecord) -> dict:
-    """The JSON-able cache form of one measured record."""
+    """The JSON-able cache (and JSONL export) form of one record."""
     return {
-        "workload_cell": record.cell.key_data(),
+        "workload_cell": {
+            "family": record.cell.spec.family,
+            "spec": record.cell.spec.params_dict(),
+            "servers": record.cell.servers,
+        },
         "breakdown": record.breakdown.as_dict(),
         "wall_stats": stats_to_dict(record.wall_stats),
     }
@@ -95,15 +153,30 @@ def workload_record_from_dict(d: dict) -> WorkloadRecord:
         spec=family.spec_from_params(cell_data["spec"]),
         servers=int(cell_data["servers"]),
     )
-    b = d["breakdown"]
     return WorkloadRecord(
         cell=cell,
-        breakdown=TimeBreakdown(
-            update=b["update"], nbint=b["nbint"], seq_comp=b["seq_comp"],
-            comm=b["comm"], sync=b["sync"], idle=b["idle"],
-        ),
+        breakdown=TimeBreakdown(**d["breakdown"]),
         wall_stats=stats_from_dict(d["wall_stats"]),
     )
+
+
+def export_jsonl(records: Sequence[WorkloadRecord], path: PathLike) -> int:
+    """Write records as JSON lines; returns the line count."""
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(workload_record_to_dict(record), sort_keys=True))
+            fh.write("\n")
+    return len(records)
+
+
+def load_jsonl(path: PathLike) -> List[WorkloadRecord]:
+    """Load records written by :func:`export_jsonl`."""
+    with open(path) as fh:
+        return [
+            workload_record_from_dict(json.loads(line))
+            for line in fh
+            if line.strip()
+        ]
 
 
 def workload_cell_key_payload(
@@ -116,9 +189,9 @@ def workload_cell_key_payload(
 ) -> dict:
     """Canonical cache-key payload for one workload cell.
 
-    Mirrors :func:`~repro.experiments.cache.cell_key_payload`: the
-    serial and pooled runners must produce identical keys, and a chaos
-    spec joins the key only when present.
+    The serial and pooled runners must produce identical keys, or warm
+    runs would re-simulate; a chaos spec joins the key only when
+    present, so fault-free keys stay exactly as they were.
     """
     payload = {
         "kind": "workload-cell",
@@ -134,20 +207,33 @@ def workload_cell_key_payload(
     return payload
 
 
-def measure_workload_cell(
+def _measure_walls(
     platform,
     cell: WorkloadCell,
-    jitter_sigma: float = DEFAULT_JITTER,
-    repetitions: int = 1,
-    base_seed: int = 0,
+    jitter_sigma: float,
+    repetitions: int,
+    base_seed: int,
     faults=None,
-) -> WorkloadRecord:
-    """Measure one cell (module-level: serial runner == pool worker)."""
-    family = get_family(cell.spec.family)
+    obs=None,
+    probe: bool = False,
+) -> Tuple[List[float], List[TimeBreakdown]]:
+    """Simulate ``repetitions`` runs of one cell; walls and breakdowns.
+
+    Probe runs seed with the salt ``"probe"`` and label as ``probe:...``.
+    Only cells with a dedicated DES program (Opal) record a trace.
+    """
+    family = cell.family
+    salt = "probe" if probe else family.seed_salt
+    app = cell.app
     walls: List[float] = []
     breakdowns: List[TimeBreakdown] = []
     for rep in range(repetitions):
-        seed = derive_cell_seed(base_seed, cell, rep, salt="workload")
+        seed = derive_cell_seed(base_seed, cell, rep, salt=salt)
+        label = None
+        if obs is not None and app is not None:
+            label = ("probe:" if probe else "") + run_label(
+                platform.name, app, seed, rep=rep
+            )
         result = family.simulate(
             cell.spec,
             cell.servers,
@@ -155,14 +241,75 @@ def measure_workload_cell(
             seed=seed,
             jitter_sigma=jitter_sigma,
             faults=faults,
+            obs=obs,
+            run_label=label,
         )
         walls.append(result.wall_time)
         breakdowns.append(result.breakdown)
+    return walls, breakdowns
+
+
+def measure_workload_cell(
+    platform,
+    cell: WorkloadCell,
+    jitter_sigma: float = DEFAULT_JITTER,
+    repetitions: int = 1,
+    base_seed: int = 0,
+    faults=None,
+    obs=None,
+) -> WorkloadRecord:
+    """Measure one cell (module-level: serial runner == pool worker).
+
+    ``faults=`` (a :class:`~repro.netsim.FaultSpec`) runs the cell under
+    chaos with the resilient middleware.  With ``obs=`` every simulated
+    run lands in that :class:`~repro.obs.ObsSession` under a
+    per-repetition run label.
+    """
+    walls, breakdowns = _measure_walls(
+        platform, cell, jitter_sigma, repetitions, base_seed,
+        faults=faults, obs=obs,
+    )
     return WorkloadRecord(
         cell=cell,
         breakdown=TimeBreakdown.mean(breakdowns),
         wall_stats=summarize(walls),
     )
+
+
+def measure_probe(
+    platform,
+    cell: WorkloadCell,
+    repetitions: int,
+    jitter_sigma: float = DEFAULT_JITTER,
+    base_seed: int = 0,
+    cache: Optional[ResultCache] = None,
+    obs=None,
+) -> Tuple[MeasurementStats, int]:
+    """The Section 2.3 reproducibility check: one cell, repeated.
+
+    Returns ``(stats, simulated_runs)``.  The probe is one cacheable
+    unit whose repetitions use the salt ``"probe"`` (independent of the
+    design measurements of the same cell), and it always runs unfaulted:
+    it certifies the measurement protocol on the dedicated system, which
+    is a precondition of, not part of, a chaos experiment.
+    """
+    key = None
+    if cache is not None:
+        payload = workload_cell_key_payload(
+            cell, platform, jitter_sigma, base_seed, repetitions
+        )
+        key = ResultCache.key_for({**payload, "kind": "probe"})
+        cached = cache.load(key)
+        if cached is not None:
+            return stats_from_dict(cached), 0
+    walls, _ = _measure_walls(
+        platform, cell, jitter_sigma, repetitions, base_seed,
+        obs=obs, probe=True,
+    )
+    stats = summarize(walls)
+    if key is not None:
+        cache.store(key, stats_to_dict(stats))
+    return stats, repetitions
 
 
 @dataclass(frozen=True)
@@ -176,10 +323,22 @@ class WorkloadCellJob:
     repetitions: int
     base_seed: int
     faults: object = None
+    #: capture observability in the worker and ship it back as a payload
+    capture: bool = False
 
 
 def run_workload_cell(job: WorkloadCellJob):
-    """Pool worker entry point (module-level so it pickles)."""
+    """Pool worker entry point (module-level so it pickles).
+
+    Returns ``(index, record, obs_payload)``; the payload is None unless
+    ``job.capture`` — the worker holds a local session and serializes it
+    for the parent to absorb, so a pooled run still exports one trace.
+    """
+    obs = None
+    if job.capture:
+        from ..obs.session import ObsSession
+
+        obs = ObsSession(label=f"cell{job.index}")
     record = measure_workload_cell(
         job.platform,
         job.cell,
@@ -187,8 +346,9 @@ def run_workload_cell(job: WorkloadCellJob):
         repetitions=job.repetitions,
         base_seed=job.base_seed,
         faults=job.faults,
+        obs=obs,
     )
-    return job.index, record
+    return job.index, record, None if obs is None else obs.to_payload()
 
 
 def run_workload_design(
@@ -200,7 +360,8 @@ def run_workload_design(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     faults=None,
-    progress=None,
+    progress: Optional[ProgressCallback] = None,
+    obs=None,
 ) -> Tuple[List[WorkloadRecord], int]:
     """Measure every cell, serially or over a process pool.
 
@@ -208,14 +369,30 @@ def run_workload_design(
     order.  The cache is probed before any pool submission (hits never
     occupy a worker), stores happen in completion order, records
     reassemble in design order — serial ≡ pooled bit-identical.
+    ``progress(done, total, record)`` fires for every cell, hits
+    included.  With ``obs=`` every simulated run is captured; pool
+    workers' payloads merge in design order, so serial and pooled
+    sessions list identical runs (cache hits skip the simulation and
+    therefore contribute no spans).
     """
     if not cells:
         raise DesignError("empty workload design")
     if workers is not None and workers < 1:
         raise DesignError("workers must be >= 1")
+    if repetitions < 1:
+        raise DesignError("repetitions must be >= 1")
     total = len(cells)
     records: List[Optional[WorkloadRecord]] = [None] * total
     done = 0
+
+    def finish(i: int, record: WorkloadRecord, key: Optional[str]) -> None:
+        nonlocal done
+        records[i] = record
+        if cache is not None and key is not None:
+            cache.store(key, workload_record_to_dict(record))
+        done += 1
+        if progress is not None:
+            progress(done, total, record)
 
     pending: List[Tuple[int, Optional[str]]] = []
     for i, cell in enumerate(cells):
@@ -223,20 +400,13 @@ def run_workload_design(
         if cache is not None:
             key = ResultCache.key_for(
                 workload_cell_key_payload(
-                    cell,
-                    platform,
-                    jitter_sigma=jitter_sigma,
-                    seed=base_seed,
-                    repetitions=repetitions,
+                    cell, platform, jitter_sigma, base_seed, repetitions,
                     faults=faults,
                 )
             )
             cached = cache.load(key)
             if cached is not None:
-                records[i] = workload_record_from_dict(cached)
-                done += 1
-                if progress is not None:
-                    progress(done, total, records[i])
+                finish(i, workload_record_from_dict(cached), None)
                 continue
         pending.append((i, key))
 
@@ -249,15 +419,12 @@ def run_workload_design(
                 repetitions=repetitions,
                 base_seed=base_seed,
                 faults=faults,
+                obs=obs,
             )
-            records[i] = record
-            if cache is not None and key is not None:
-                cache.store(key, workload_record_to_dict(record))
-            done += 1
-            if progress is not None:
-                progress(done, total, record)
+            finish(i, record, key)
     elif pending:
         n_workers = min(workers or default_workers(), len(pending))
+        payloads: List[Tuple[int, dict]] = []
         with ProcessPoolExecutor(max_workers=n_workers) as executor:
             futures = {}
             for i, key in pending:
@@ -269,17 +436,20 @@ def run_workload_design(
                     repetitions=repetitions,
                     base_seed=base_seed,
                     faults=faults,
+                    capture=obs is not None,
                 )
                 futures[executor.submit(run_workload_cell, job)] = key
             for future in as_completed(futures):
-                index, record = future.result()
-                records[index] = record
-                key = futures[future]
-                if cache is not None and key is not None:
-                    cache.store(key, workload_record_to_dict(record))
-                done += 1
-                if progress is not None:
-                    progress(done, total, record)
+                index, record, payload = future.result()
+                if payload is not None:
+                    payloads.append((index, payload))
+                finish(index, record, futures[future])
+        for _index, payload in sorted(payloads, key=lambda item: item[0]):
+            obs.absorb_payload(payload)
+    if obs is not None:
+        for record in records:
+            obs.observe_cell(record.wall_stats.mean)  # type: ignore[union-attr]
+        obs.absorb_cache_stats(cache.stats if cache is not None else None)
     return records, len(pending)  # type: ignore[return-value]
 
 
@@ -325,6 +495,11 @@ def run_workload_campaign(
     store under the family's name.
     """
     family: WorkloadFamily = get_family(family_name)
+    if store_dir is not None and family.name == "opal":
+        raise WorkloadError(
+            "opal campaign telemetry comes from the paper study's classic "
+            "fit: use repro.experiments.run_campaign(store_dir=...)"
+        )
     specs = family.campaign_specs(base_spec)
     cells = [WorkloadCell(spec, p) for spec in specs for p in servers]
     cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -377,10 +552,10 @@ def run_workload_campaign(
         predictions[candidate.name] = per_spec
 
     if store_dir is not None:
-        from ..obs.ingest import ingest_workload_records
+        from ..obs.ingest import ingest_records
         from ..obs.store import TelemetryStore
 
-        ingest_workload_records(
+        ingest_records(
             TelemetryStore(store_dir),
             records,
             params=calibration.params,

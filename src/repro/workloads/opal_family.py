@@ -6,6 +6,11 @@ form (:class:`repro.core.model.OpalPerformanceModel`); this family
 wraps both behind the generic contract so campaigns, serve queries and
 loadgen mixes treat Opal like any other family.
 
+Opal cells keep the classic cell identity: :meth:`OpalFamily.cell_key_data`
+is the paper design's key data (the molecule's composition, servers,
+cutoff, update interval, steps) and seeds use the salt ``"cell"``, so
+every jittered measurement of the paper study is unchanged.
+
 ``terms`` restates equations (3)-(10) with compute counted in flops:
 multiplying the pair workloads by the per-pair kernel flop costs makes
 the family coefficients ``a2 = a3 = a4 = 1 / cpu_rate`` reproduce
@@ -33,6 +38,7 @@ class OpalFamily(WorkloadFamily):
 
     name = "opal"
     summary = "the paper's molecular-dynamics client/server program"
+    seed_salt = "cell"
     fields = (
         FieldSpec(
             name="molecule",
@@ -81,6 +87,31 @@ class OpalFamily(WorkloadFamily):
             cutoff=spec.get("cutoff"),
         )
 
+    def cell_key_data(self, spec: WorkloadSpec, servers: int) -> dict:
+        """The paper design's cell identity (molecule composition included)."""
+        molecule = get_complex(spec.get("molecule"))
+        return {
+            "molecule": {
+                "name": molecule.name,
+                "protein_atoms": molecule.protein_atoms,
+                "waters": molecule.waters,
+                "density": molecule.density,
+            },
+            "servers": servers,
+            "cutoff": spec.get("cutoff"),
+            "update_interval": spec.get("update_interval"),
+            "steps": spec.get("steps"),
+        }
+
+    def spec_label(self, spec: WorkloadSpec) -> str:
+        """The paper's cell label, e.g. ``medium/cutoff=10A/update=1/10``."""
+        cutoff, update = spec.get("cutoff"), spec.get("update_interval")
+        cut = "none" if cutoff is None else f"{cutoff:g}A"
+        upd = "full" if update == 1 else f"1/{update}"
+        label = f"{spec.get('molecule')}/cutoff={cut}/update={upd}"
+        steps = spec.get("steps")
+        return label if steps == 10 else f"{label}/steps={steps}"
+
     def compile(self, spec: WorkloadSpec, servers: int) -> Tuple[PhaseStep, ...]:
         """Always raises: opal keeps its dedicated DES program."""
         raise WorkloadError(
@@ -111,6 +142,8 @@ class OpalFamily(WorkloadFamily):
         seed: int = 0,
         jitter_sigma: float = 0.0,
         faults: Optional[FaultSpec] = None,
+        obs=None,
+        run_label: Optional[str] = None,
     ) -> WorkloadRunResult:
         """Run the real parallel Opal program for this cell."""
         from ..opal.parallel import run_parallel_opal
@@ -121,6 +154,8 @@ class OpalFamily(WorkloadFamily):
             sync_mode="accounted",
             seed=seed,
             jitter_sigma=jitter_sigma,
+            obs=obs,
+            run_label=run_label,
             faults=faults,
         )
         return WorkloadRunResult(

@@ -85,10 +85,11 @@ def test_calibrated_model_property():
 
 def test_simulator_calibration_close_to_spec(j90):
     """Calibrating against simulated J90 runs recovers Table 1/2 data."""
-    from repro.experiments import ExperimentRunner, reduced_design
+    from repro.experiments import reduced_design
+    from repro.workloads.campaign import run_workload_design
 
-    runner = ExperimentRunner(j90, repetitions=1)
-    obs = runner.observations(reduced_design())
+    records, _ = run_workload_design(reduced_design(), j90)
+    obs = [r.observation() for r in records]
     result = calibrate(obs, name="j90-measured")
     spec_params = ModelPlatformParams.from_spec(j90)
     assert result.params.a1 == pytest.approx(spec_params.a1, rel=0.05)

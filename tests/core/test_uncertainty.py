@@ -5,15 +5,18 @@ import pytest
 from repro.core.parameters import ApplicationParams, ModelPlatformParams
 from repro.core.uncertainty import bootstrap_calibration
 from repro.errors import CalibrationError
-from repro.experiments import ExperimentRunner, reduced_design
+from repro.experiments import reduced_design
 from repro.opal.complexes import MEDIUM
 from repro.platforms import CRAY_J90
+from repro.workloads.campaign import run_workload_design
 
 
 @pytest.fixture(scope="module")
 def observations():
-    runner = ExperimentRunner(CRAY_J90, jitter_sigma=0.01, seed=2)
-    return runner.observations(reduced_design())
+    records, _ = run_workload_design(
+        reduced_design(), CRAY_J90, jitter_sigma=0.01, base_seed=2
+    )
+    return [r.observation() for r in records]
 
 
 @pytest.fixture(scope="module")

@@ -156,3 +156,77 @@ class TestConcurrency:
         assert len(cache) == 4
         assert cache.stats.evictions == 0
         assert cache.stats.misses == 0
+
+
+#: big enough that one write spans many syscalls, widening any race
+BIG = {"payload": "x" * 65536, "cell": list(range(2000))}
+HAMMER_KEY = key("hammer")
+
+
+def _store_repeatedly(root, n):
+    """Pool-worker body: store one shared key ``n`` times."""
+    cache = ResultCache(root)
+    for _ in range(n):
+        cache.store(HAMMER_KEY, BIG)
+    return n
+
+
+def _read_until(root, done):
+    """Load the shared key until ``done()``; count bad loads after a hit.
+
+    Once the key has been published every later load must return the
+    complete value: a miss or a torn payload means a reader saw a
+    half-written or vanished file.
+    """
+    reader = ResultCache(root)
+    seen, bad = False, 0
+    while not done():
+        value = reader.load(HAMMER_KEY)
+        if value is not None:
+            seen = True
+        if seen and value != BIG:
+            bad += 1
+    return seen, bad
+
+
+class TestConcurrentWriters:
+    """Many writers of one key over a shared directory (pool, fleet)."""
+
+    def test_threads_storing_one_key_never_fail_or_tear(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        errors = []
+
+        def write():
+            try:
+                for _ in range(150):
+                    cache.store(HAMMER_KEY, BIG)
+            except Exception as exc:
+                errors.append(exc)
+
+        writers = [threading.Thread(target=write) for _ in range(4)]
+        for t in writers:
+            t.start()
+        seen, bad = _read_until(tmp_path, lambda: not any(t.is_alive() for t in writers))
+        for t in writers:
+            t.join()
+        assert errors == []
+        assert seen and bad == 0
+        assert cache.stats.stores == 4 * 150
+        assert ResultCache(tmp_path).load(HAMMER_KEY) == BIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{HAMMER_KEY}.json"]
+
+    def test_processes_storing_one_key_never_fail_or_tear(self, tmp_path):
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=3) as pool:
+            futures = [
+                pool.submit(_store_repeatedly, tmp_path, 100) for _ in range(3)
+            ]
+            seen, bad = _read_until(
+                tmp_path, lambda: all(f.done() for f in futures)
+            )
+            stored = [f.result() for f in futures]  # re-raises writer errors
+        assert stored == [100, 100, 100]
+        assert seen and bad == 0
+        assert ResultCache(tmp_path).load(HAMMER_KEY) == BIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{HAMMER_KEY}.json"]

@@ -3,13 +3,19 @@
 
 from repro.experiments.cases import (
     CUTOFF_EFFECTIVE,
-    ExperimentCase,
     breakdown_chart_cases,
     full_design,
+    opal_cell,
     paper_factors,
     reduced_design,
 )
 from repro.opal.complexes import MEDIUM
+
+
+def factors(cell):
+    """(molecule, servers, cutoff, update interval) of one opal cell."""
+    app = cell.app
+    return (app.molecule.name, app.servers, app.cutoff, app.update_interval)
 
 
 def test_full_design_is_the_papers_84_experiments():
@@ -19,13 +25,13 @@ def test_full_design_is_the_papers_84_experiments():
 
 def test_full_design_unique_cells():
     cases = full_design()
-    keys = {(c.molecule.name, c.servers, c.cutoff, c.update_interval) for c in cases}
+    keys = {factors(c) for c in cases}
     assert len(keys) == 84
 
 
 def test_ineffective_cutoff_maps_to_none():
     cases = full_design()
-    cutoffs = {c.cutoff for c in cases}
+    cutoffs = {c.app.cutoff for c in cases}
     assert cutoffs == {CUTOFF_EFFECTIVE, None}
 
 
@@ -38,28 +44,24 @@ def test_reduced_design_is_7_times_half_fraction():
 
 def test_reduced_design_subset_of_full():
     # every reduced case (with medium/large sizes) appears in the full design
-    full_keys = {
-        (c.molecule.name, c.servers, c.cutoff, c.update_interval)
-        for c in full_design()
-    }
+    full_keys = {factors(c) for c in full_design()}
     for c in reduced_design():
-        key = (c.molecule.name, c.servers, c.cutoff, c.update_interval)
-        assert key in full_keys
+        assert factors(c) in full_keys
 
 
 def test_reduced_design_balances_factors():
     cases = reduced_design()
-    assert sum(1 for c in cases if c.molecule is MEDIUM) == 14
-    assert sum(1 for c in cases if c.cutoff is None) == 14
-    assert sum(1 for c in cases if c.update_interval == 1) == 14
+    assert sum(1 for c in cases if c.app.molecule is MEDIUM) == 14
+    assert sum(1 for c in cases if c.app.cutoff is None) == 14
+    assert sum(1 for c in cases if c.app.update_interval == 1) == 14
 
 
 def test_case_label_and_app():
-    case = ExperimentCase(
-        molecule=MEDIUM, servers=3, cutoff=10.0, update_interval=10
-    )
-    assert "medium" in case.label and "p=3" in case.label
-    app = case.app()
+    case = opal_cell(MEDIUM, 3, cutoff=10.0, update_interval=10)
+    assert case.spec.family == "opal"
+    assert case.label == "opal:medium/cutoff=10A/update=1/10/p=3"
+    app = case.app
+    assert app.molecule is MEDIUM
     assert app.servers == 3 and app.cutoff == 10.0 and app.steps == 10
 
 
@@ -75,8 +77,8 @@ def test_breakdown_chart_cases_four_panels():
     assert set(panels) == {"a", "b", "c", "d"}
     assert all(len(v) == 3 for v in panels.values())
     # panel a: no cutoff, full update
-    assert panels["a"][0].cutoff is None
-    assert panels["a"][0].update_interval == 1
+    assert panels["a"][0].app.cutoff is None
+    assert panels["a"][0].app.update_interval == 1
     # panel d: cutoff + partial update
-    assert panels["d"][0].cutoff == CUTOFF_EFFECTIVE
-    assert panels["d"][0].update_interval == 10
+    assert panels["d"][0].app.cutoff == CUTOFF_EFFECTIVE
+    assert panels["d"][0].app.update_interval == 10

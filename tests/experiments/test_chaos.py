@@ -6,32 +6,36 @@ records, serial or pooled; faults off -> bit-identical to a run that
 never imported the fault layer at all.
 """
 
-import pytest
-
 from repro.experiments import (
-    ExperimentCase,
-    ExperimentRunner,
     ResultCache,
+    breakdown_chart_cases,
+    opal_cell,
     run_campaign,
 )
-from repro.experiments.cache import cell_key_payload
 from repro.netsim.faults import FaultSpec
 from repro.opal.complexes import SMALL
 from repro.platforms import CRAY_J90, FAST_COPS
+from repro.workloads.campaign import (
+    measure_probe,
+    run_workload_design,
+    workload_cell_key_payload,
+)
 
 CHAOS = FaultSpec.parse("drop=0.01,delay=0.02,delay_scale=0.05,timeout=5")
 
 
 def small_design(servers=(1, 2, 3)):
-    return [
-        ExperimentCase(molecule=SMALL, servers=p, cutoff=10.0, update_interval=1)
-        for p in servers
-    ]
+    return [opal_cell(SMALL, p, cutoff=10.0, update_interval=1) for p in servers]
+
+
+def measure(design, faults=None, **kw):
+    records, _ = run_workload_design(design, CRAY_J90, faults=faults, **kw)
+    return records
 
 
 def test_chaos_design_is_repeatable():
-    a = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(small_design())
-    b = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(small_design())
+    a = measure(small_design(), CHAOS)
+    b = measure(small_design(), CHAOS)
     for ra, rb in zip(a, b):
         assert ra.breakdown == rb.breakdown
         assert ra.wall_stats == rb.wall_stats
@@ -39,20 +43,19 @@ def test_chaos_design_is_repeatable():
 
 def test_chaos_serial_and_parallel_records_identical():
     design = small_design()
-    serial = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(design)
-    pooled = ExperimentRunner(CRAY_J90, workers=2, faults=CHAOS).run_design(
-        design
-    )
+    serial = measure(design, CHAOS)
+    pooled = measure(design, CHAOS, workers=2)
+    assert len(serial) == len(pooled) == len(design)
     for a, b in zip(serial, pooled):
-        assert a.case == b.case
+        assert a.cell == b.cell
         assert a.breakdown == b.breakdown
         assert a.wall_stats == b.wall_stats
 
 
 def test_chaos_costs_time_but_not_correctness():
     design = small_design((2,))
-    healthy = ExperimentRunner(CRAY_J90).run_design(design)[0]
-    faulted = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(design)[0]
+    healthy = measure(design)[0]
+    faulted = measure(design, CHAOS)[0]
     assert faulted.wall_stats.mean > healthy.wall_stats.mean
 
 
@@ -60,58 +63,61 @@ def test_disabled_faults_leave_results_bit_identical():
     # a spec that injects nothing still switches the client to the
     # resilient stub; the measured numbers must not move at all
     design = small_design((2,))
-    plain = ExperimentRunner(CRAY_J90).run_design(design)[0]
+    plain = measure(design)[0]
     idle_spec = FaultSpec(rpc_timeout=30.0)
     assert not idle_spec.enabled
-    resilient = ExperimentRunner(CRAY_J90, faults=idle_spec).run_design(design)[0]
+    resilient = measure(design, idle_spec)[0]
     assert resilient.breakdown == plain.breakdown
     assert resilient.wall_stats == plain.wall_stats
 
 
 def test_cache_key_separates_chaos_from_healthy_cells():
     case = small_design((2,))[0]
-    healthy = cell_key_payload(case, CRAY_J90, "accounted", 0.004, 0, 1)
-    faulted = cell_key_payload(
-        case, CRAY_J90, "accounted", 0.004, 0, 1, faults=CHAOS
-    )
+    healthy = workload_cell_key_payload(case, CRAY_J90, 0.004, 0, 1)
+    faulted = workload_cell_key_payload(case, CRAY_J90, 0.004, 0, 1, faults=CHAOS)
     assert "chaos" not in healthy
     assert faulted["chaos"] == CHAOS.as_dict()
     assert ResultCache.key_for(healthy) != ResultCache.key_for(faulted)
-    other = cell_key_payload(
-        case, CRAY_J90, "accounted", 0.004, 0, 1, faults=FaultSpec(drop=0.02)
+    other = workload_cell_key_payload(
+        case, CRAY_J90, 0.004, 0, 1, faults=FaultSpec(drop=0.02)
     )
     assert ResultCache.key_for(faulted) != ResultCache.key_for(other)
 
 
 def test_chaos_cells_cached_and_replayed(tmp_path):
     design = small_design((1, 2))
-    cold = ExperimentRunner(CRAY_J90, cache_dir=tmp_path, faults=CHAOS)
-    first = cold.run_design(design)
-    assert cold.simulations_run == 2
-    warm = ExperimentRunner(CRAY_J90, cache_dir=tmp_path, faults=CHAOS)
-    second = warm.run_design(design)
-    assert warm.simulations_run == 0
+    first, simulated = run_workload_design(
+        design, CRAY_J90, cache=ResultCache(tmp_path), faults=CHAOS
+    )
+    assert simulated == 2
+    second, simulated = run_workload_design(
+        design, CRAY_J90, cache=ResultCache(tmp_path), faults=CHAOS
+    )
+    assert simulated == 0
     for a, b in zip(first, second):
         assert a.breakdown == b.breakdown
     # healthy cells do not hit the chaos cache entries
-    healthy = ExperimentRunner(CRAY_J90, cache_dir=tmp_path)
-    healthy.run_design(design)
-    assert healthy.cache_stats.hits == 0
+    healthy = ResultCache(tmp_path)
+    run_workload_design(design, CRAY_J90, cache=healthy)
+    assert healthy.stats.hits == 0
 
 
 def test_probe_stays_unfaulted_under_chaos():
     # the reproducibility probe certifies the measurement protocol; the
     # chaos factor applies to design cells only, so the probe CV stays
     # in the licensed band and the campaign proceeds
-    runner = ExperimentRunner(
-        CRAY_J90, jitter_sigma=0.004, faults=FaultSpec.parse("drop=0.05,timeout=5")
+    design = [c for cells in breakdown_chart_cases(SMALL, (1, 2)).values()
+              for c in cells]
+    kwargs = dict(molecule=SMALL, design=design, probe_repetitions=3, servers=(1, 2, 3))
+    faulted = run_campaign(
+        CRAY_J90, [], faults=FaultSpec.parse("drop=0.05,timeout=5"), **kwargs
     )
-    case = small_design((2,))[0]
-    stats = runner.variability_probe(case, repetitions=3)
-    baseline = ExperimentRunner(CRAY_J90, jitter_sigma=0.004).variability_probe(
-        case, repetitions=3
+    healthy = run_campaign(CRAY_J90, [], **kwargs)
+    probe, _ = measure_probe(
+        CRAY_J90, opal_cell(SMALL, 2, cutoff=10.0, update_interval=1), repetitions=3
     )
-    assert stats == baseline
+    assert faulted.probe == healthy.probe == probe
+    assert faulted.calibration.params != healthy.calibration.params
 
 
 def test_chaos_campaign_serial_vs_parallel_identical_report():

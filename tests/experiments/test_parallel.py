@@ -1,32 +1,26 @@
-"""Tests for parallel campaign execution and the on-disk result cache."""
+"""Tests for pooled campaign execution and the on-disk result cache."""
 
 import pytest
 
 from repro.errors import DesignError
-from repro.experiments import (
-    ExperimentCase,
-    ExperimentRunner,
-    ResultCache,
+from repro.experiments import ResultCache, opal_cell, run_campaign
+from repro.opal.complexes import SMALL
+from repro.platforms import CRAY_J90, FAST_COPS
+from repro.workloads import get_family
+from repro.workloads.campaign import (
+    WorkloadCell,
     derive_cell_seed,
     export_jsonl,
     load_jsonl,
-    run_campaign,
-    run_design_parallel,
+    run_workload_design,
+    workload_cell_key_payload,
+    workload_record_from_dict,
+    workload_record_to_dict,
 )
-from repro.experiments.cache import (
-    cell_key_payload,
-    record_from_dict,
-    record_to_dict,
-)
-from repro.opal.complexes import SMALL
-from repro.platforms import CRAY_J90, FAST_COPS
 
 
 def small_design(servers=(1, 2, 3)):
-    return [
-        ExperimentCase(molecule=SMALL, servers=p, cutoff=10.0, update_interval=1)
-        for p in servers
-    ]
+    return [opal_cell(SMALL, p, cutoff=10.0, update_interval=1) for p in servers]
 
 
 # ----------------------------------------------------------------------
@@ -42,39 +36,31 @@ def test_cell_seeds_differ_across_cells_and_reps():
 
 def test_cell_seed_depends_on_content_not_position():
     case = small_design((2,))[0]
-    same = ExperimentCase(
-        molecule=SMALL, servers=2, cutoff=10.0, update_interval=1
-    )
+    same = opal_cell(SMALL, 2, cutoff=10.0, update_interval=1)
     assert derive_cell_seed(7, case, 0) == derive_cell_seed(7, same, 0)
 
 
 def test_cell_seed_is_stable_across_sessions():
-    # a frozen value: changing the derivation silently invalidates every
-    # cache and breaks serial/parallel equivalence with old results
-    case = ExperimentCase(
-        molecule=SMALL, servers=2, cutoff=10.0, update_interval=1
-    )
-    assert derive_cell_seed(0, case, 0) == derive_cell_seed(0, case, 0)
-    assert 0 <= derive_cell_seed(0, case, 0) < 2**63
+    # frozen values: changing the derivation silently invalidates every
+    # cache and moves every jittered measurement, fit and prediction
+    case = opal_cell(SMALL, 2, cutoff=10.0, update_interval=1)
+    assert derive_cell_seed(0, case, 0) == 73534909060724691
+    assert derive_cell_seed(0, case, 0, salt="probe") == 7824695734685362426
+    collective = get_family("collective")
+    cell = WorkloadCell(collective.campaign_specs(None)[0], 2)
+    assert cell.spec.params_dict() == {
+        "pattern": "barrier", "message_bytes": 4096, "fanout": 2, "rounds": 4,
+    }
+    assert derive_cell_seed(0, cell, 0, salt="workload") == 4269644670739537188
 
 
 # ----------------------------------------------------------------------
 # serial vs parallel equivalence
 # ----------------------------------------------------------------------
-def test_serial_and_parallel_records_identical():
-    design = small_design()
-    serial = ExperimentRunner(CRAY_J90).run_design(design)
-    parallel = ExperimentRunner(CRAY_J90, workers=2).run_design(design)
-    for a, b in zip(serial, parallel):
-        assert a.case == b.case
-        assert a.breakdown == b.breakdown
-        assert a.wall_stats == b.wall_stats
-
-
 def test_parallel_results_in_design_order():
     design = small_design((3, 1, 2))
-    records = ExperimentRunner(CRAY_J90, workers=2).run_design(design)
-    assert [r.case.servers for r in records] == [3, 1, 2]
+    records, _ = run_workload_design(design, CRAY_J90, workers=2)
+    assert [r.cell.servers for r in records] == [3, 1, 2]
 
 
 def test_campaign_serial_vs_parallel_identical_report():
@@ -97,25 +83,37 @@ def test_campaign_serial_vs_parallel_identical_report():
 
 
 def test_parallel_flag_and_worker_validation():
-    assert ExperimentRunner(CRAY_J90, parallel=True).parallel
-    assert ExperimentRunner(CRAY_J90, workers=2).parallel
-    assert not ExperimentRunner(CRAY_J90, workers=1).parallel
     with pytest.raises(DesignError):
-        ExperimentRunner(CRAY_J90, workers=0)
+        run_workload_design(small_design(), CRAY_J90, workers=0)
     with pytest.raises(DesignError):
-        run_design_parallel(small_design(), CRAY_J90, workers=0)
+        run_workload_design([], CRAY_J90)
     with pytest.raises(DesignError):
-        run_design_parallel([], CRAY_J90)
+        run_workload_design([], CRAY_J90, workers=2)
+    with pytest.raises(DesignError):
+        run_campaign(CRAY_J90, [], design=small_design(), workers=0)
 
 
-def test_progress_callback_runs_for_every_cell():
+def test_progress_callback_runs_for_every_cell(tmp_path):
     design = small_design()
+    for workers, cache in ((None, None), (2, None), (None, ResultCache(tmp_path))):
+        seen = []
+        run_workload_design(
+            design,
+            CRAY_J90,
+            workers=workers,
+            cache=cache,
+            progress=lambda done, total, rec: seen.append((done, total)),
+        )
+        assert sorted(seen) == [(1, 3), (2, 3), (3, 3)]
+    # warm: every cell is a cache hit and still reports progress
     seen = []
-    runner = ExperimentRunner(
-        CRAY_J90, workers=2, progress=lambda done, total, rec: seen.append((done, total))
+    _, simulated = run_workload_design(
+        design,
+        CRAY_J90,
+        cache=ResultCache(tmp_path),
+        progress=lambda done, total, rec: seen.append((done, total)),
     )
-    runner.run_design(design)
-    assert sorted(seen) == [(1, 3), (2, 3), (3, 3)]
+    assert simulated == 0 and seen == [(1, 3), (2, 3), (3, 3)]
 
 
 # ----------------------------------------------------------------------
@@ -123,16 +121,16 @@ def test_progress_callback_runs_for_every_cell():
 # ----------------------------------------------------------------------
 def test_cache_miss_then_hit(tmp_path):
     design = small_design()
-    r1 = ExperimentRunner(CRAY_J90, cache_dir=tmp_path)
-    first = r1.run_design(design)
-    assert r1.cache_stats.misses == 3
-    assert r1.cache_stats.stores == 3
-    assert r1.simulations_run == 3
+    cold_cache = ResultCache(tmp_path)
+    first, simulated = run_workload_design(design, CRAY_J90, cache=cold_cache)
+    assert cold_cache.stats.misses == 3
+    assert cold_cache.stats.stores == 3
+    assert simulated == 3
 
-    r2 = ExperimentRunner(CRAY_J90, cache_dir=tmp_path)
-    second = r2.run_design(design)
-    assert r2.cache_stats.hits == 3
-    assert r2.simulations_run == 0
+    warm_cache = ResultCache(tmp_path)
+    second, simulated = run_workload_design(design, CRAY_J90, cache=warm_cache)
+    assert warm_cache.stats.hits == 3
+    assert simulated == 0
     for a, b in zip(first, second):
         assert a.breakdown == b.breakdown
         assert a.wall_stats == b.wall_stats
@@ -140,36 +138,30 @@ def test_cache_miss_then_hit(tmp_path):
 
 def test_cache_shared_between_serial_and_parallel(tmp_path):
     design = small_design()
-    serial = ExperimentRunner(CRAY_J90, cache_dir=tmp_path)
-    serial.run_design(design)
-    parallel = ExperimentRunner(CRAY_J90, workers=2, cache_dir=tmp_path)
-    parallel.run_design(design)
-    assert parallel.cache_stats.hits == 3
-    assert parallel.simulations_run == 0
+    run_workload_design(design, CRAY_J90, cache=ResultCache(tmp_path))
+    pooled_cache = ResultCache(tmp_path)
+    _, simulated = run_workload_design(
+        design, CRAY_J90, workers=2, cache=pooled_cache
+    )
+    assert pooled_cache.stats.hits == 3
+    assert simulated == 0
 
 
 def test_cache_invalidated_by_protocol_change(tmp_path):
     design = small_design((2,))
-    ExperimentRunner(CRAY_J90, cache_dir=tmp_path).run_design(design)
-    for changed in (
-        ExperimentRunner(CRAY_J90, cache_dir=tmp_path, seed=1),
-        ExperimentRunner(CRAY_J90, cache_dir=tmp_path, jitter_sigma=0.01),
-        ExperimentRunner(CRAY_J90, cache_dir=tmp_path, repetitions=2),
-        ExperimentRunner(CRAY_J90, cache_dir=tmp_path, sync_mode="overlapped"),
-        ExperimentRunner(FAST_COPS, cache_dir=tmp_path),
+    run_workload_design(design, CRAY_J90, cache=ResultCache(tmp_path))
+    for platform, protocol in (
+        (CRAY_J90, dict(base_seed=1)),
+        (CRAY_J90, dict(jitter_sigma=0.01)),
+        (CRAY_J90, dict(repetitions=2)),
+        (FAST_COPS, {}),
     ):
-        changed.run_design(design)
-        assert changed.cache_stats.hits == 0
-        assert changed.simulations_run >= 1
-
-
-def test_keep_results_bypasses_cache(tmp_path):
-    design = small_design((2,))
-    runner = ExperimentRunner(CRAY_J90, cache_dir=tmp_path, keep_results=True)
-    record = runner.run_design(design)[0]
-    assert record.last_result is not None
-    assert runner.cache_stats.lookups == 0
-    assert len(runner.cache) == 0
+        cache = ResultCache(tmp_path)
+        _, simulated = run_workload_design(
+            design, platform, cache=cache, **protocol
+        )
+        assert cache.stats.hits == 0
+        assert simulated == 1
 
 
 def test_warm_cache_campaign_runs_zero_simulations(tmp_path):
@@ -202,41 +194,42 @@ def test_cache_clear_and_len(tmp_path):
 
 def test_cache_key_is_canonical():
     case = small_design((2,))[0]
-    payload = cell_key_payload(case, CRAY_J90, "accounted", 0.004, 0, 1)
+    payload = workload_cell_key_payload(case, CRAY_J90, 0.004, 0, 1)
     assert ResultCache.key_for(payload) == ResultCache.key_for(dict(payload))
-    other = cell_key_payload(case, CRAY_J90, "accounted", 0.004, 0, 2)
+    other = workload_cell_key_payload(case, CRAY_J90, 0.004, 0, 2)
     assert ResultCache.key_for(payload) != ResultCache.key_for(other)
 
 
 # ----------------------------------------------------------------------
-# record serialization / JSONL export
+# JSONL export
 # ----------------------------------------------------------------------
 def test_record_roundtrip():
-    record = ExperimentRunner(CRAY_J90).run_case(small_design((2,))[0])
-    back = record_from_dict(record_to_dict(record))
-    assert back.case == record.case
+    records, _ = run_workload_design(small_design((2,)), CRAY_J90)
+    record = records[0]
+    back = workload_record_from_dict(workload_record_to_dict(record))
+    assert back.cell == record.cell
     assert back.breakdown == record.breakdown
     assert back.wall_stats == record.wall_stats
-    assert back.last_result is None
 
 
 def test_export_and_load_jsonl(tmp_path):
-    records = ExperimentRunner(CRAY_J90).run_design(small_design())
+    records, _ = run_workload_design(small_design(), CRAY_J90)
     path = tmp_path / "cells.jsonl"
     assert export_jsonl(records, path) == 3
     loaded = load_jsonl(path)
     assert len(loaded) == 3
     for a, b in zip(records, loaded):
-        assert a.case == b.case
+        assert a.cell == b.cell
         assert a.breakdown == b.breakdown
+        assert a.wall_stats == b.wall_stats
 
 
 def test_analysis_layer_jsonl_aliases(tmp_path):
     from repro.analysis import records_from_jsonl, records_to_jsonl
 
-    records = ExperimentRunner(CRAY_J90).run_design(small_design())
+    records, _ = run_workload_design(small_design(), CRAY_J90)
     path = tmp_path / "cells.jsonl"
     assert records_to_jsonl(records, path) == 3
     loaded = records_from_jsonl(path)
-    assert [r.case for r in loaded] == [r.case for r in records]
+    assert [r.cell for r in loaded] == [r.cell for r in records]
     assert [r.breakdown for r in loaded] == [r.breakdown for r in records]

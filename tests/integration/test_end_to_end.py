@@ -5,16 +5,17 @@ import pytest
 from repro.core.calibration import calibrate
 from repro.core.parameters import ApplicationParams, ModelPlatformParams
 from repro.core.prediction import predict_series
-from repro.experiments import ExperimentRunner, reduced_design
+from repro.experiments import reduced_design
 from repro.opal.complexes import MEDIUM, SMALL
 from repro.opal.parallel import run_parallel_opal
 from repro.platforms import CRAY_J90, FAST_COPS, extract_model_params
+from repro.workloads.campaign import run_workload_design
 
 
 @pytest.fixture(scope="module")
 def j90_calibration():
-    runner = ExperimentRunner(CRAY_J90, repetitions=1)
-    obs = runner.observations(reduced_design())
+    records, _ = run_workload_design(reduced_design(), CRAY_J90)
+    obs = [r.observation() for r in records]
     return calibrate(obs, name="j90-calibrated"), obs
 
 

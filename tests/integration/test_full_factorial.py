@@ -10,14 +10,22 @@ import numpy as np
 import pytest
 
 from repro.core.calibration import calibrate, residual_table
-from repro.experiments import ExperimentRunner, full_design
+from repro.experiments import full_design
 from repro.platforms import CRAY_J90
+from repro.workloads.campaign import run_workload_design
 
 
 @pytest.fixture(scope="module")
 def records():
-    runner = ExperimentRunner(CRAY_J90, jitter_sigma=0.004, seed=11)
-    return runner.run_design(full_design())
+    records, _ = run_workload_design(
+        full_design(), CRAY_J90, jitter_sigma=0.004, base_seed=11
+    )
+    return records
+
+
+def factors(record):
+    app = record.cell.app
+    return (app.molecule.name, app.servers, app.cutoff, app.update_interval)
 
 
 def test_all_84_cases_complete(records):
@@ -38,11 +46,7 @@ def test_calibration_on_full_design(records):
 
 def test_problem_size_ordering_everywhere(records):
     """Larger complexes never run faster at identical settings."""
-    by_key = {
-        (r.case.molecule.name, r.case.servers, r.case.cutoff,
-         r.case.update_interval): r.breakdown.total
-        for r in records
-    }
+    by_key = {factors(r): r.breakdown.total for r in records}
     for servers in range(1, 8):
         for cutoff in (None, 10.0):
             for interval in (1, 10):
@@ -53,11 +57,7 @@ def test_problem_size_ordering_everywhere(records):
 
 
 def test_cutoff_always_helps(records):
-    by_key = {
-        (r.case.molecule.name, r.case.servers, r.case.cutoff,
-         r.case.update_interval): r.breakdown.total
-        for r in records
-    }
+    by_key = {factors(r): r.breakdown.total for r in records}
     for name in ("small", "medium", "large"):
         for servers in range(1, 8):
             for interval in (1, 10):
@@ -70,9 +70,10 @@ def test_even_p_idle_excess_is_systematic(records):
     """The anomaly holds across the whole campaign, not one chart."""
     idle_by_parity = {0: [], 1: []}
     for r in records:
-        if r.case.cutoff is None and r.case.servers >= 2:
+        app = r.cell.app
+        if app.cutoff is None and app.servers >= 2:
             frac = r.breakdown.idle / r.breakdown.total
-            idle_by_parity[r.case.servers % 2].append(frac)
+            idle_by_parity[app.servers % 2].append(frac)
     even = np.mean(idle_by_parity[0])
     odd = np.mean(idle_by_parity[1])
     assert even > 2.5 * odd

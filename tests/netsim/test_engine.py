@@ -1,34 +1,24 @@
 """Unit tests for the discrete-event engine.
 
-The whole module runs once per scheduler (``calendar`` and ``heap``):
-the two implementations must be observationally identical — same
-firing order, same clocks, same counters — which is also pinned
-adversarially by ``test_scheduler_differential.py``.
+The whole module runs once per scheduler: the production calendar
+queue (``calendar``) and the test-only reference binary heap
+(``heap``, :mod:`tests.netsim.heap_engine`).  The two must be
+observationally identical — same firing order, same clocks, same
+counters — which is also pinned adversarially by
+``test_scheduler_differential.py``.
 """
 
 import pytest
 
 from repro.errors import DeadlockError, PastEventError, SimulationError
-from repro.netsim.engine import SCHEDULERS, Engine
+
+from .heap_engine import ENGINES
 
 
-@pytest.fixture(params=SCHEDULERS)
+@pytest.fixture(params=tuple(ENGINES))
 def make_engine(request):
-    """Factory for an Engine of the parametrized scheduler kind."""
-
-    def _make():
-        return Engine(scheduler=request.param)
-
-    return _make
-
-
-def test_default_scheduler_is_calendar():
-    assert Engine().scheduler == "calendar"
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(SimulationError, match="unknown scheduler"):
-        Engine(scheduler="fifo")
+    """Factory for an engine of the parametrized scheduler kind."""
+    return ENGINES[request.param]
 
 
 def test_time_starts_at_zero(make_engine):
@@ -232,7 +222,7 @@ def test_second_run_with_earlier_until_identical_across_schedulers():
     # regression: both schedulers must treat a redundant earlier horizon
     # as the same no-op, leaving queue contents and counters untouched
     def drive(kind):
-        eng = Engine(scheduler=kind)
+        eng = ENGINES[kind]()
         fired = []
         for d in (1.0, 2.0, 2.0, 4.0):
             eng.schedule(d, lambda d=d: fired.append((d, eng.now)))
@@ -275,7 +265,7 @@ def test_run_all_reports_blocked_process_count(make_engine):
 
 def test_max_queue_depth_identical_across_schedulers():
     def drive(kind):
-        eng = Engine(scheduler=kind)
+        eng = ENGINES[kind]()
         for d in (3.0, 1.0, 1.0, 2.0, 2.0, 2.0):
             eng.schedule(d, lambda: None)
         eng.run()

@@ -1,9 +1,9 @@
 """Differential property tests: calendar scheduler vs. heap scheduler.
 
 The calendar queue in ``repro.netsim.engine`` is a performance
-replacement for the binary-heap scheduler, kept behind
-``Engine(scheduler=...)`` precisely so it can be checked like this:
-run the *same randomized event program* on both implementations and
+replacement for a binary-heap scheduler, kept as a test-only reference
+(:mod:`tests.netsim.heap_engine`) precisely so it can be checked like
+this: run the *same randomized event program* on both implementations and
 require bit-identical observable behaviour — firing order (including
 FIFO order within one timestamp), clocks at every event, horizon
 handling, and every public counter.
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.netsim.engine import SCHEDULERS, Engine
+from .heap_engine import ENGINES
 
 try:
     from hypothesis import given, settings
@@ -42,7 +42,7 @@ def run_program(scheduler: str, seed: int, n_initial: int = 20):
     including redundant past horizons, before a final drain.
     """
     rng = random.Random(seed)
-    eng = Engine(scheduler=scheduler)
+    eng = ENGINES[scheduler]()
     trace = []
     budget = [60]  # cap total events so programs terminate
 
@@ -77,10 +77,10 @@ def run_program(scheduler: str, seed: int, n_initial: int = 20):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_calendar_and_heap_traces_identical(seed):
-    results = [run_program(s, seed) for s in SCHEDULERS]
+    results = [run_program(s, seed) for s in ENGINES]
     assert results[0] == results[1], (
         f"scheduler divergence for seed={seed}: "
-        f"{SCHEDULERS[0]}={results[0]!r} {SCHEDULERS[1]}={results[1]!r}"
+        f"calendar={results[0]!r} heap={results[1]!r}"
     )
 
 
@@ -91,7 +91,7 @@ def test_differential_under_heavy_collisions(seed):
     rng = random.Random(seed)
 
     def drive(scheduler):
-        eng = Engine(scheduler=scheduler)
+        eng = ENGINES[scheduler]()
         fired = []
         rng_local = random.Random(seed)
         for i in range(40):
@@ -115,7 +115,7 @@ if HAVE_HYPOTHESIS:
     )
     def test_hypothesis_differential(delays, until):
         def drive(scheduler):
-            eng = Engine(scheduler=scheduler)
+            eng = ENGINES[scheduler]()
             fired = []
             for i, d in enumerate(delays):
                 eng.schedule(d, lambda i=i: fired.append((i, eng.now)))

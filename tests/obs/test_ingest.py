@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TelemetryError
-from repro.experiments import ExperimentCase, ExperimentRunner
+from repro.experiments import opal_cell
 from repro.obs import ObsSession, write_jsonl
 from repro.obs.ingest import (
     ingest_bench_dir,
@@ -19,15 +19,13 @@ from repro.obs.store import TelemetryStore
 from repro.opal.complexes import SMALL
 from repro.platforms import CRAY_J90
 from repro.serve.loadgen import LoadgenReport
+from repro.workloads.campaign import run_workload_design
 
 
 @pytest.fixture(scope="module")
 def records():
-    design = [
-        ExperimentCase(molecule=SMALL, servers=p, cutoff=10.0, update_interval=1)
-        for p in (1, 2, 3)
-    ]
-    return ExperimentRunner(CRAY_J90).run_design(design)
+    design = [opal_cell(SMALL, p, cutoff=10.0, update_interval=1) for p in (1, 2, 3)]
+    return run_workload_design(design, CRAY_J90)[0]
 
 
 def test_ingest_records_cells_shape(tmp_path, records):
@@ -64,9 +62,8 @@ def test_ingest_records_refuses_empty(tmp_path):
 
 def test_ingest_trace_rollup_matches_by_category(tmp_path):
     obs = ObsSession(label="unit")
-    runner = ExperimentRunner(CRAY_J90, obs=obs)
-    case = ExperimentCase(molecule=SMALL, servers=2, cutoff=10.0, update_interval=1)
-    runner.run_design([case])
+    case = opal_cell(SMALL, 2, cutoff=10.0, update_interval=1)
+    run_workload_design([case], CRAY_J90, obs=obs)
     path = tmp_path / "trace.jsonl"
     write_jsonl(obs.tracer, path, metrics=obs.metrics)
 

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentCase, ExperimentRunner, run_campaign
+from repro.experiments import opal_cell, run_campaign
 from repro.netsim.faults import FaultSpec
 from repro.obs.ingest import ingest_records
 from repro.obs.monitor import residual_drift
@@ -24,13 +24,11 @@ from repro.obs.report import join_residuals
 from repro.obs.store import TelemetryStore
 from repro.opal.complexes import SMALL
 from repro.platforms import CRAY_J90, FAST_COPS
+from repro.workloads.campaign import run_workload_design
 
 CHAOS = FaultSpec.parse("drop=0.01,delay=0.02,delay_scale=0.05,timeout=5")
 
-DESIGN = [
-    ExperimentCase(molecule=SMALL, servers=p, cutoff=10.0, update_interval=1)
-    for p in (1, 2, 3)
-]
+DESIGN = [opal_cell(SMALL, p, cutoff=10.0, update_interval=1) for p in (1, 2, 3)]
 
 CAMPAIGN = dict(
     reference=CRAY_J90,
@@ -54,20 +52,24 @@ def test_cells_match_the_measured_records(campaign_store):
     store, _report = campaign_store
     # the campaign runner is deterministic: replaying the design gives
     # the exact records the campaign measured and ingested
-    records = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(DESIGN)
+    records, _ = run_workload_design(DESIGN, CRAY_J90, faults=CHAOS)
     table = store.scan("cells")
     assert store.rows("cells") == len(records)
     for i, record in enumerate(records):
-        assert table["run"][i] == record.case.label
+        assert table["run"][i] == record.cell.label
+        assert table["molecule"][i] == "small"
+        assert table["cutoff"][i] == 10.0
+        assert table["update_interval"][i] == 1
+        assert table["steps"][i] == 10
         assert table["total_s"][i] == record.breakdown.total
         assert table["wall_mean"][i] == record.wall_stats.mean
 
 
 def test_query_reproduces_residual_report_per_cell(campaign_store):
     store, report = campaign_store
-    records = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(DESIGN)
+    records, _ = run_workload_design(DESIGN, CRAY_J90, faults=CHAOS)
     residuals = join_residuals(
-        [(r.case.label, r.app, r.breakdown) for r in records],
+        [(r.cell.label, r.cell.app, r.breakdown) for r in records],
         report.calibration.params,
     )
     by_run = {}
@@ -103,7 +105,7 @@ def test_serial_and_pooled_ingestion_bit_identical(tmp_path):
 
 def test_drift_quiet_on_clean_history_flags_perturbed(campaign_store, tmp_path):
     _store, report = campaign_store
-    records = ExperimentRunner(CRAY_J90, faults=CHAOS).run_design(DESIGN)
+    records, _ = run_workload_design(DESIGN, CRAY_J90, faults=CHAOS)
     params = report.calibration.params
 
     store = TelemetryStore(tmp_path / "drift")

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.parameters import ModelPlatformParams
-from repro.experiments.cases import ExperimentCase
+from repro.experiments.cases import opal_cell
 from repro.opal.complexes import get_complex
 from repro.platforms import CRAY_J90, CRAY_T3E
 from repro.serve.calibstore import (
@@ -20,13 +20,7 @@ from repro.serve.calibstore import (
 def tiny_design():
     """A minimal non-degenerate design that calibrates in milliseconds."""
     return [
-        ExperimentCase(
-            molecule=get_complex("small"),
-            servers=p,
-            cutoff=c,
-            update_interval=u,
-            steps=2,
-        )
+        opal_cell(get_complex("small"), p, cutoff=c, update_interval=u, steps=2)
         for p in (1, 2, 3)
         for c in (None, 10.0)
         for u in (1, 10)

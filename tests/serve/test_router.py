@@ -6,6 +6,7 @@ every chaos scenario lands at an await point the test controls.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -174,6 +175,13 @@ class TestFailover:
         assert report[f"w{owner}"]["retried"] >= FAST_RETRY.death_threshold
 
 
+#: FAST_RETRY with a forward timeout that covers a blocking calibration
+#: fit (the reduced campaign): the crash under test is detected at once
+#: (InProcessWorker.crash raises ConnectionError), so only the first
+#: calibrated request needs the time — 0.2 s made it retry-exhaust
+FIT_RETRY = dataclasses.replace(FAST_RETRY, timeout=5.0)
+
+
 class TestRespawn:
     def test_respawn_rejoins_ring_with_warm_calibrations(self, tmp_path):
         cache_dir = str(tmp_path / "calib")
@@ -207,7 +215,7 @@ class TestRespawn:
             router = FleetRouter(
                 workers,
                 config=FleetConfig(
-                    heartbeat=0.0, policy=FAST_RETRY, **WIDE_OPEN_ROUTER
+                    heartbeat=0.0, policy=FIT_RETRY, **WIDE_OPEN_ROUTER
                 ),
                 respawn_fn=respawn,
             )
