@@ -20,7 +20,6 @@ import hashlib
 import json
 import pathlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -35,12 +34,11 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store/eviction counters for one cache instance."""
+    """Hit/miss/store counters for one cache instance."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -58,7 +56,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "evictions": self.evictions,
         }
 
     def __str__(self) -> str:
@@ -93,32 +90,18 @@ class ResultCache:
     inputs (plus :data:`SCHEMA_VERSION`); values are JSON files named by
     their key.  The cache never invalidates by time — changing any
     input, including the base seed or the platform's key data, changes
-    the key and therefore misses.
+    the key and therefore misses.  Entries are never evicted.
 
-    ``max_entries`` bounds the on-disk entry count with least-recently
-    used eviction: a hit refreshes an entry's recency, a store of a new
-    entry beyond the bound evicts the coldest one(s) (counted in
-    ``stats.evictions``).  Recency is seeded from file modification
-    times on open, so a bounded cache keeps behaving LRU across
-    processes.  Corrupt entries (truncated writes, garbage payloads)
-    are treated as misses, never as errors; stats updates are guarded
-    by a lock so concurrent readers observe consistent hit/miss counts.
+    Corrupt entries (truncated writes, garbage payloads) are treated as
+    misses, never as errors; stats updates are guarded by a lock so
+    concurrent readers observe consistent hit/miss counts.
     """
 
-    def __init__(self, root: PathLike, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
+    def __init__(self, root: PathLike) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        #: key -> None, in least-recently-used-first order
-        self._recency: "OrderedDict[str, None]" = OrderedDict()
-        for path in sorted(
-            self.root.glob("*.json"), key=lambda p: (p.stat().st_mtime, p.name)
-        ):
-            self._recency[path.stem] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -158,11 +141,10 @@ class ResultCache:
             return None
         with self._lock:
             self.stats.hits += 1
-            self._touch(key)
         return value
 
     def store(self, key: str, value: dict) -> None:
-        """Persist ``value`` under ``key`` (atomic rename, LRU-bounded).
+        """Persist ``value`` under ``key`` (atomic rename).
 
         Safe against concurrent stores of the same key from any number
         of threads or processes sharing the directory: each write has
@@ -171,23 +153,6 @@ class ResultCache:
         write_atomic(self._path(key), json.dumps(value))
         with self._lock:
             self.stats.stores += 1
-            self._touch(key)
-            self._evict_over_bound()
-
-    def _touch(self, key: str) -> None:
-        """Mark ``key`` most recently used (caller holds the lock)."""
-        self._recency.pop(key, None)
-        self._recency[key] = None
-
-    def _evict_over_bound(self) -> None:
-        """Drop least-recently-used entries beyond ``max_entries``."""
-        if self.max_entries is None:
-            return
-        while len(self._recency) > self.max_entries:
-            coldest = next(iter(self._recency))  # insertion order = LRU first
-            del self._recency[coldest]
-            self._path(coldest).unlink(missing_ok=True)
-            self.stats.evictions += 1
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -198,6 +163,4 @@ class ResultCache:
         for path in self.root.glob("*.json"):
             path.unlink()
             n += 1
-        with self._lock:
-            self._recency.clear()
         return n

@@ -213,6 +213,36 @@ def _flow_line(flow: FlowEdge) -> Dict[str, Any]:
     }
 
 
+def span_from_line(line: Dict[str, Any]) -> Span:
+    """Rebuild a span from its :func:`_span_line` dict."""
+    return Span(
+        proc=line["proc"],
+        category=line["category"],
+        start=line["start"],
+        end=line["end"],
+        detail=line.get("detail", ""),
+        name=line.get("name", ""),
+        sid=line.get("sid", 0),
+        parent=line.get("parent"),
+        run=line.get("run", ""),
+    )
+
+
+def flow_from_line(line: Dict[str, Any]) -> FlowEdge:
+    """Rebuild a flow edge from its :func:`_flow_line` dict."""
+    return FlowEdge(
+        fid=line["fid"],
+        src_proc=line["src_proc"],
+        src_time=line["src_time"],
+        dst_proc=line["dst_proc"],
+        dst_time=line["dst_time"],
+        kind=line.get("kind", "msg"),
+        nbytes=line.get("nbytes", 0.0),
+        tag=line.get("tag"),
+        run=line.get("run", ""),
+    )
+
+
 def write_jsonl(
     tracer: SpanTracer,
     path: PathLike,
@@ -251,34 +281,10 @@ def load_jsonl(path: PathLike) -> Tuple[SpanTracer, MetricsRegistry]:
             obj = json.loads(line)
             kind = obj.get("type")
             if kind == "span":
-                tracer.spans.append(
-                    Span(
-                        proc=obj["proc"],
-                        category=obj["category"],
-                        start=obj["start"],
-                        end=obj["end"],
-                        detail=obj.get("detail", ""),
-                        name=obj.get("name", ""),
-                        sid=obj.get("sid", 0),
-                        parent=obj.get("parent"),
-                        run=obj.get("run", ""),
-                    )
-                )
+                tracer.spans.append(span_from_line(obj))
                 max_sid = max(max_sid, obj.get("sid", 0))
             elif kind == "flow":
-                tracer.flows.append(
-                    FlowEdge(
-                        fid=obj["fid"],
-                        src_proc=obj["src_proc"],
-                        src_time=obj["src_time"],
-                        dst_proc=obj["dst_proc"],
-                        dst_time=obj["dst_time"],
-                        kind=obj.get("kind", "msg"),
-                        nbytes=obj.get("nbytes", 0.0),
-                        tag=obj.get("tag"),
-                        run=obj.get("run", ""),
-                    )
-                )
+                tracer.flows.append(flow_from_line(obj))
             elif kind == "metrics":
                 metrics.merge_payload(obj.get("data", {}))
     tracer._next_sid = max_sid + 1

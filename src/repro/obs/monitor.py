@@ -40,7 +40,8 @@ PathLike = Union[str, pathlib.Path]
 #: Schema tag required from budget files.
 SLO_SCHEMA = "repro-slo/1"
 
-#: Flight-recorder status codes (column ``status`` of dataset ``serve``).
+#: Flight-recorder status codes (column ``status`` of datasets ``serve``
+#: and ``fleet``); :func:`repro.serve.flight.status_code` assigns them.
 STATUS_OK = 0
 STATUS_SHED_RATE = 1
 STATUS_SHED_QUEUE = 2

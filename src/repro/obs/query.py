@@ -15,9 +15,9 @@ repro.obs query``, the SLO/drift monitors and the tests:
 * **by** — optional group-by column: aggregates per distinct value.
 
 Quantiles use :func:`percentile` — the *same* nearest-rank rule the
-serve layer reports (``repro.serve.service.latency_quantiles`` imports
-it), so an aggregate over ingested per-request records reproduces the
-service's own p50/p99 bit for bit, not merely approximately.
+serve layer reports through :func:`latency_quantiles`, so an aggregate
+over ingested per-request records reproduces the service's own p50/p99
+bit for bit, not merely approximately.
 """
 
 from __future__ import annotations
@@ -46,6 +46,18 @@ def percentile(values: Sequence[float], frac: float) -> float:
     ordered = np.sort(np.asarray(values, dtype=float))
     last = n - 1
     return float(ordered[min(last, int(round(frac * last)))])
+
+
+def latency_quantiles(values: Sequence[float]) -> Dict[str, float]:
+    """p50/p95/p99 of ``values`` by :func:`percentile` (0 when empty).
+
+    The latency report of the prediction service and the fleet router.
+    """
+    return {
+        "p50": percentile(values, 0.50),
+        "p95": percentile(values, 0.95),
+        "p99": percentile(values, 0.99),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -24,12 +24,14 @@ from .export import (
     PathLike,
     _flow_line,
     _span_line,
+    flow_from_line,
+    span_from_line,
     write_chrome_trace,
     write_jsonl,
 )
 from .metrics import MetricsRegistry
 from .report import RunRow, residual_report
-from .spans import FlowEdge, Span, SpanTracer
+from .spans import SpanTracer
 
 if TYPE_CHECKING:
     from ..netsim.cluster import Cluster
@@ -180,34 +182,8 @@ class ObsSession:
         if not payload:
             return
         donor = SpanTracer()
-        for line in payload.get("spans", []):
-            donor.spans.append(
-                Span(
-                    proc=line["proc"],
-                    category=line["category"],
-                    start=line["start"],
-                    end=line["end"],
-                    detail=line.get("detail", ""),
-                    name=line.get("name", ""),
-                    sid=line.get("sid", 0),
-                    parent=line.get("parent"),
-                    run=line.get("run", ""),
-                )
-            )
-        for line in payload.get("flows", []):
-            donor.flows.append(
-                FlowEdge(
-                    fid=line["fid"],
-                    src_proc=line["src_proc"],
-                    src_time=line["src_time"],
-                    dst_proc=line["dst_proc"],
-                    dst_time=line["dst_time"],
-                    kind=line.get("kind", "msg"),
-                    nbytes=line.get("nbytes", 0.0),
-                    tag=line.get("tag"),
-                    run=line.get("run", ""),
-                )
-            )
+        donor.spans.extend(span_from_line(line) for line in payload.get("spans", []))
+        donor.flows.extend(flow_from_line(line) for line in payload.get("flows", []))
         self.tracer.absorb(donor)
         self.metrics.merge_payload(payload.get("metrics", {}))
         for row in payload.get("rows", []):

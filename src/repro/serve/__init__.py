@@ -40,14 +40,7 @@ from .calibstore import CalibrationStore
 from .fleet import FleetSpec, ServeFleet, WorkerProc
 from .hashring import HashRing, ring_hash
 from .loadgen import LoadSpec, LoadgenReport, build_schedule, run_open_loop
-from .router import (
-    FleetConfig,
-    FleetRecorder,
-    FleetRouter,
-    InProcessWorker,
-    TcpWorkerClient,
-    WorkerStats,
-)
+from .router import FleetConfig, FleetRouter, InProcessWorker, WorkerStats
 from .server import ServeClient, ServeServer, TcpServeClient, http_get, http_post
 from .service import PredictionService, ServeConfig
 
@@ -56,7 +49,6 @@ __all__ = [
     "AdmissionStats",
     "CalibrationStore",
     "FleetConfig",
-    "FleetRecorder",
     "FleetRouter",
     "FleetSpec",
     "HashRing",
@@ -72,7 +64,6 @@ __all__ = [
     "ServeFleet",
     "ServeServer",
     "TcpServeClient",
-    "TcpWorkerClient",
     "TokenBucket",
     "WIRE_VERSION",
     "WorkerProc",

@@ -168,6 +168,44 @@ def _parse_int(value: Any, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def _require_known_platform(platform: str) -> None:
+    from ..platforms import PLATFORMS
+
+    _require(
+        platform in PLATFORMS,
+        NOT_FOUND,
+        "unknown-platform",
+        f"unknown platform {platform!r}; known: {sorted(PLATFORMS)}",
+    )
+
+
+def _parse_servers(data: Dict[str, Any], kind: str) -> Union[int, Tuple[int, ...]]:
+    """A predict query's server count, or a sweep's server range."""
+    raw_servers = data.get("servers", 1 if kind == "predict" else None)
+    if kind == "predict":
+        return _parse_int(raw_servers, "servers")
+    if raw_servers is None:
+        return DEFAULT_SWEEP_SERVERS
+    _require(
+        isinstance(raw_servers, (list, tuple)) and len(raw_servers) > 0,
+        BAD_REQUEST,
+        "invalid-field",
+        "sweep servers must be a non-empty list of integers",
+    )
+    return tuple(_parse_int(p, "servers[]") for p in raw_servers)
+
+
+def _parse_calibrated(data: Dict[str, Any]) -> bool:
+    calibrated = data.get("calibrated", False)
+    _require(
+        isinstance(calibrated, bool),
+        BAD_REQUEST,
+        "invalid-field",
+        "calibrated must be a boolean",
+    )
+    return calibrated
+
+
 #: memoized (kind, canonical(data)) -> Query; bounded, successes only
 _QUERY_CACHE: Dict[Tuple[str, str], Query] = {}
 _QUERY_CACHE_LIMIT = 1024
@@ -255,39 +293,15 @@ def _parse_query_uncached(data: Any, kind: str) -> Query:
     )
     # resolve names now so a typo costs nothing downstream of admission
     from ..opal.complexes import NAMED_COMPLEXES
-    from ..platforms import PLATFORMS
 
-    _require(
-        platform in PLATFORMS,
-        NOT_FOUND,
-        "unknown-platform",
-        f"unknown platform {platform!r}; known: {sorted(PLATFORMS)}",
-    )
+    _require_known_platform(platform)
     _require(
         molecule in NAMED_COMPLEXES,
         NOT_FOUND,
         "unknown-molecule",
         f"unknown molecule {molecule!r}; known: {sorted(NAMED_COMPLEXES)}",
     )
-
-    raw_servers = data.get("servers", 1 if kind == "predict" else None)
-    servers: Union[int, Tuple[int, ...]]
-    if kind == "predict":
-        servers = _parse_int(raw_servers, "servers")
-    else:
-        if raw_servers is None:
-            servers = DEFAULT_SWEEP_SERVERS
-        else:
-            _require(
-                isinstance(raw_servers, (list, tuple)) and len(raw_servers) > 0,
-                BAD_REQUEST,
-                "invalid-field",
-                "sweep servers must be a non-empty list of integers",
-            )
-            servers = tuple(
-                _parse_int(p, "servers[]") for p in raw_servers
-            )
-
+    servers = _parse_servers(data, kind)
     cutoff = data.get("cutoff")
     if cutoff is not None:
         _require(
@@ -303,13 +317,7 @@ def _parse_query_uncached(data: Any, kind: str) -> Query:
             "cutoff must be positive (or null for no cutoff)",
         )
         cutoff = float(cutoff)
-    calibrated = data.get("calibrated", False)
-    _require(
-        isinstance(calibrated, bool),
-        BAD_REQUEST,
-        "invalid-field",
-        "calibrated must be a boolean",
-    )
+    calibrated = _parse_calibrated(data)
     return Query(
         platform=platform,
         molecule=molecule,
@@ -355,14 +363,7 @@ def _parse_family_query(data: Any, kind: str, family: str) -> Query:
         "invalid-field",
         "platform must be a string",
     )
-    from ..platforms import PLATFORMS
-
-    _require(
-        platform in PLATFORMS,
-        NOT_FOUND,
-        "unknown-platform",
-        f"unknown platform {platform!r}; known: {sorted(PLATFORMS)}",
-    )
+    _require_known_platform(platform)
     raw_spec = data.get("spec", {})
     _require(
         isinstance(raw_spec, dict),
@@ -377,34 +378,11 @@ def _parse_family_query(data: Any, kind: str, family: str) -> Query:
         spec = get_family(family).spec_from_params(raw_spec)
     except WorkloadError as exc:
         raise ServeError(BAD_REQUEST, "invalid-workload", str(exc)) from exc
-
-    raw_servers = data.get("servers", 1 if kind == "predict" else None)
-    servers: Union[int, Tuple[int, ...]]
-    if kind == "predict":
-        servers = _parse_int(raw_servers, "servers")
-    else:
-        if raw_servers is None:
-            servers = DEFAULT_SWEEP_SERVERS
-        else:
-            _require(
-                isinstance(raw_servers, (list, tuple)) and len(raw_servers) > 0,
-                BAD_REQUEST,
-                "invalid-field",
-                "sweep servers must be a non-empty list of integers",
-            )
-            servers = tuple(_parse_int(p, "servers[]") for p in raw_servers)
-    calibrated = data.get("calibrated", False)
-    _require(
-        isinstance(calibrated, bool),
-        BAD_REQUEST,
-        "invalid-field",
-        "calibrated must be a boolean",
-    )
     return Query(
         platform=platform,
         molecule="",
-        servers=servers,
-        calibrated=calibrated,
+        servers=_parse_servers(data, kind),
+        calibrated=_parse_calibrated(data),
         family=family,
         spec=spec.params,
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from concurrent.futures import Executor
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -90,7 +89,6 @@ class CalibrationStore:
         max_entries: int = 8,
         cache_dir=None,
         stale_after: Optional[float] = None,
-        executor: Optional[Executor] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
@@ -103,7 +101,6 @@ class CalibrationStore:
         self.max_entries = max_entries
         self.stale_after = stale_after
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None
-        self._executor = executor
         #: key -> (params, fitted_at), least-recently-used first
         self._entries: "OrderedDict[str, Tuple[ModelPlatformParams, float]]" = (
             OrderedDict()
@@ -232,7 +229,7 @@ class CalibrationStore:
         """Disk probe in the executor; remembers and returns on a hit."""
         assert self.disk is not None
         loop = asyncio.get_running_loop()
-        data = await loop.run_in_executor(self._executor, self.disk.load, key)
+        data = await loop.run_in_executor(None, self.disk.load, key)
         if data is None:
             return None
         try:
@@ -246,11 +243,11 @@ class CalibrationStore:
         self, fit: Callable[[], ModelPlatformParams], key: str, now: float
     ) -> ModelPlatformParams:
         loop = asyncio.get_running_loop()
-        params = await loop.run_in_executor(self._executor, fit)
+        params = await loop.run_in_executor(None, fit)
         self._remember(key, params, now)
         if self.disk is not None:
             await loop.run_in_executor(
-                self._executor, self.disk.store, key, params_to_dict(params)
+                None, self.disk.store, key, params_to_dict(params)
             )
         return params
 

@@ -3,7 +3,7 @@
 :class:`ServeFleet` boots N worker processes — each one the existing
 single-process server (``python -m repro.serve serve``) listening on
 an ephemeral localhost port — wires a pipelined
-:class:`~repro.serve.router.TcpWorkerClient` to each, and fronts them
+:class:`~repro.serve.server.TcpServeClient` to each, and fronts them
 with a :class:`~repro.serve.router.FleetRouter`.  Workers run with
 admission wide open: the router's fleet-wide token buckets are the
 single backpressure tier, so a worker never sheds what the front door
@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..obs.session import ObsSession
-from .router import FleetConfig, FleetRouter, TcpWorkerClient
+from .router import FleetConfig, FleetRouter
+from .server import TcpServeClient
 
 #: stdout banner of a ready worker (see ``cmd_serve``).
 _PORT_RE = re.compile(rb"serving on [^:]+:(\d+)")
@@ -197,8 +198,8 @@ class ServeFleet:
             if not line:
                 return
 
-    async def _connect(self, proc: WorkerProc) -> TcpWorkerClient:
-        client = TcpWorkerClient(self.spec.host, proc.port)
+    async def _connect(self, proc: WorkerProc) -> TcpServeClient:
+        client = TcpServeClient(self.spec.host, proc.port)
         await client.connect()
         return client
 
@@ -270,7 +271,7 @@ class ServeFleet:
         await self.stop()
 
     # -- supervision ----------------------------------------------------
-    async def _respawn_client(self, slot: int) -> TcpWorkerClient:
+    async def _respawn_client(self, slot: int) -> TcpServeClient:
         """Router respawn hook: fresh incarnation, connected link."""
         old = self.procs.get(slot)
         if old is not None:

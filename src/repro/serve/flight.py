@@ -1,17 +1,20 @@
-"""Lock-free flight recorder: per-request serve telemetry, live.
+"""Lock-free flight recorder: per-request serve and fleet telemetry, live.
 
 A preallocated ring buffer riding inside
-:class:`~repro.serve.service.PredictionService`.  Every request that
-reaches admission leaves one row — per-stage latencies
-(admit/queue/compute/reply, microseconds), the exact reply latency the
-service's own quantile report uses (``reply_s``), the queue depth seen
-at admission, the batch it rode in, and a status code — without locks:
-the service records from the event-loop thread only (single writer),
-and a record is one tuple store into a preallocated list ring, a few
-hundred nanoseconds.  Columnar numpy conversion happens at flush time,
-off the hot path.
+:class:`~repro.serve.service.PredictionService` (dataset ``serve``)
+and :class:`~repro.serve.router.FleetRouter` (dataset ``fleet``).
+Every request that reaches admission leaves one row whose columns the
+dataset's :data:`LAYOUTS` entry names — for ``serve`` the per-stage
+latencies (admit/queue/compute/reply, microseconds), the exact reply
+latency the service's own quantile report uses (``reply_s``), the
+queue depth seen at admission, the batch it rode in and a status code;
+for ``fleet`` the router's view plus the worker slot and retry count —
+without locks: the owner records from the event-loop thread only
+(single writer), and a record is one tuple store into a preallocated
+list ring, a few hundred nanoseconds.  Columnar numpy conversion
+happens at flush time, off the hot path.
 
-Flushing converts the unflushed rows into one ``serve`` segment of a
+Flushing converts the unflushed rows into one segment of a
 :class:`~repro.obs.store.TelemetryStore`.  The async :meth:`flush`
 pushes the file I/O off the event loop via ``run_in_executor`` (the
 S701 rule: no blocking I/O inside ``repro.serve`` coroutines);
@@ -27,39 +30,66 @@ bounded memory and zero hot-path cost over lossless capture.
 ``latency_quantiles()["p99"]`` exactly (sheds never reply: their rows
 carry ``reply_s = 0`` and a shed status, so filter ``status`` when
 aggregating latencies).
+
+:func:`status_code` is the one response-to-outcome classifier: the
+service, the router and the load generator all sort a response into
+the ``status`` codes of :mod:`repro.obs.monitor` through it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-#: Status codes of the ``status`` column (mirrored by
-#: :mod:`repro.obs.monitor`, which interprets them store-side).
-STATUS_OK = 0
-STATUS_SHED_RATE = 1
-STATUS_SHED_QUEUE = 2
-STATUS_EXPIRED = 3
-STATUS_ERROR = 4
-STATUS_SHED_DRAIN = 5
-
-#: Column layout of one flight row == the ``serve`` dataset's schema.
-FLOAT_COLUMNS = (
-    "t_admit", "admit_us", "queue_us", "compute_us", "reply_us", "reply_s",
+from ..obs.monitor import (
+    STATUS_ERROR,
+    STATUS_EXPIRED,
+    STATUS_OK,
+    STATUS_SHED_DRAIN,
+    STATUS_SHED_QUEUE,
+    STATUS_SHED_RATE,
 )
-INT_COLUMNS = ("depth", "status", "batch")
-COLUMNS = FLOAT_COLUMNS + INT_COLUMNS
+from . import api
+
+#: Row layout of each dataset: its float64 columns, then its int64
+#: columns.  One recorded row is one tuple in exactly this order.
+LAYOUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "serve": (
+        ("t_admit", "admit_us", "queue_us", "compute_us", "reply_us", "reply_s"),
+        ("depth", "status", "batch"),
+    ),
+    "fleet": (
+        ("t_admit", "admit_us", "reply_s"),
+        ("depth", "status", "worker", "attempts"),
+    ),
+}
+
+#: ``status`` code of each 429 reason (anything else sheds by rate).
+_SHED_CODES = {"shed:queue": STATUS_SHED_QUEUE, "shed:drain": STATUS_SHED_DRAIN}
+
+
+def status_code(response: Dict[str, Any]) -> int:
+    """The ``status`` column code of one response envelope."""
+    status = response.get("status")
+    if status == api.OK:
+        return STATUS_OK
+    if status == api.DEADLINE_EXPIRED:
+        return STATUS_EXPIRED
+    if status == api.SHED:
+        reason = response.get("error", {}).get("reason", "")
+        return _SHED_CODES.get(reason, STATUS_SHED_RATE)
+    return STATUS_ERROR
 
 
 class FlightRecorder:
-    """Single-writer ring buffer of per-request serve records.
+    """Single-writer ring buffer of per-request records.
 
     ``capacity`` bounds memory; once exceeded, the oldest *unflushed*
-    rows are overwritten and counted in :attr:`dropped`.  ``store``
-    (optional) is where :meth:`flush` appends segments, under
-    ``dataset``.
+    rows are overwritten and counted in :attr:`dropped`.  ``dataset``
+    picks the row layout (:data:`LAYOUTS`) and is where :meth:`flush`
+    appends segments to ``store`` (optional).
     """
 
     def __init__(
@@ -70,10 +100,14 @@ class FlightRecorder:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if dataset not in LAYOUTS:
+            raise ValueError(
+                f"no row layout for dataset {dataset!r}; known: {sorted(LAYOUTS)}"
+            )
         self.capacity = capacity
         self.store = store
         self.dataset = dataset
-        #: the ring: one COLUMNS-ordered tuple per recorded row
+        #: the ring: one layout-ordered tuple per recorded row
         self._rows: list = [None] * capacity
         #: total rows ever recorded (monotone absolute sequence)
         self._seq = 0
@@ -83,40 +117,10 @@ class FlightRecorder:
         self.dropped = 0
 
     # -- recording (event-loop thread only) -----------------------------
-    def record(
-        self,
-        t_admit: float,
-        depth: int,
-        admit_us: float,
-        queue_us: float,
-        compute_us: float,
-        reply_us: float,
-        reply_s: float,
-        status: int,
-        batch: int,
-    ) -> None:
-        """Record one completed (replied) request."""
-        self._rows[self._seq % self.capacity] = (
-            t_admit, admit_us, queue_us, compute_us, reply_us, reply_s,
-            depth, status, batch,
-        )
+    def record(self, *row: Any) -> None:
+        """Record one row, its values in the dataset's layout order."""
+        self._rows[self._seq % self.capacity] = row
         self._seq += 1
-
-    def record_shed(
-        self, t_admit: float, depth: int, admit_us: float, status: int
-    ) -> None:
-        """Record one request shed at admission (it never replies)."""
-        self.record(
-            t_admit=t_admit,
-            depth=depth,
-            admit_us=admit_us,
-            queue_us=0.0,
-            compute_us=0.0,
-            reply_us=0.0,
-            reply_s=0.0,
-            status=status,
-            batch=0,
-        )
 
     # -- reading / flushing ---------------------------------------------
     def __len__(self) -> int:
@@ -131,12 +135,11 @@ class FlightRecorder:
         """The unflushed rows as numpy columns, oldest first."""
         start = max(self._flushed, self._seq - self.capacity)
         rows = [self._rows[i % self.capacity] for i in range(start, self._seq)]
+        floats, ints = LAYOUTS[self.dataset]
         out: Dict[str, np.ndarray] = {}
-        split = len(FLOAT_COLUMNS)
-        for j, name in enumerate(FLOAT_COLUMNS):
-            out[name] = np.array([row[j] for row in rows], dtype=np.float64)
-        for j, name in enumerate(INT_COLUMNS):
-            out[name] = np.array([row[split + j] for row in rows], dtype=np.int64)
+        for j, name in enumerate(floats + ints):
+            dtype = np.float64 if j < len(floats) else np.int64
+            out[name] = np.array([row[j] for row in rows], dtype=dtype)
         return out
 
     def flush_sync(self) -> Optional[str]:
@@ -152,10 +155,9 @@ class FlightRecorder:
         if start == self._seq:
             self._flushed = self._seq
             return None
-        columns = self.snapshot()
         segment = self.store.append(
             self.dataset,
-            {name: columns[name] for name in COLUMNS},
+            self.snapshot(),
             meta={"source": "flight", "dropped": self.dropped},
         )
         self._flushed = self._seq

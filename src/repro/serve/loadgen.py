@@ -24,10 +24,19 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs.monitor import STATUS_NAMES
 from . import api
+from .flight import status_code
 
 #: An async callable serving one envelope (ServeClient.request etc.).
 SubmitFn = Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]
+
+#: The :class:`LoadgenReport` counter of each status code: the code's
+#: ``STATUS_NAMES`` name, except that ``error`` counts in ``errors``.
+_COUNTERS = {
+    code: "errors" if name == "error" else name
+    for code, name in STATUS_NAMES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -238,21 +247,8 @@ class LoadgenReport:
     def _account(self, envelope: Dict[str, Any], response: Dict[str, Any]) -> None:
         """Classify one response into the counters."""
         self.responses[envelope["id"]] = response
-        status = response.get("status")
-        if status == api.OK:
-            self.ok += 1
-        elif status == api.SHED:
-            reason = response.get("error", {}).get("reason", "")
-            if reason == "shed:queue":
-                self.shed_queue += 1
-            elif reason == "shed:drain":
-                self.shed_drain += 1
-            else:
-                self.shed_rate += 1
-        elif status == api.DEADLINE_EXPIRED:
-            self.expired += 1
-        else:
-            self.errors += 1
+        counter = _COUNTERS[status_code(response)]
+        setattr(self, counter, getattr(self, counter) + 1)
 
 
 async def run_open_loop(

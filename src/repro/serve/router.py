@@ -6,7 +6,8 @@ existing transports (:class:`~repro.serve.server.ServeServer`) and the
 load generator drive a fleet without changes.  Behind that surface one
 request flows: fleet-wide admission (the single-process token buckets
 lifted to the front door) → consistent-hash shard by compute cell
-(:mod:`repro.serve.hashring`) → forward over a pipelined worker link →
+(:mod:`repro.serve.hashring`) → forward over a pipelined worker link
+(:class:`~repro.serve.server.TcpServeClient`) →
 retry with capped jittered exponential backoff against surviving
 workers on timeout or connection loss.
 
@@ -29,7 +30,8 @@ calibration ``cache_dir``) reloads calibrations warm.
 
 Observability: per-worker ``serve.fleet.*`` counters, router spans on
 the ``fleet`` process, and one per-request row in the ``fleet``
-dataset of a :class:`~repro.obs.store.TelemetryStore` —
+dataset, held in a bounded :class:`~repro.serve.flight.FlightRecorder`
+ring and flushed into a :class:`~repro.obs.store.TelemetryStore` —
 SLO-compatible columns (``t_admit``/``status``/``reply_s``/``depth``)
 plus the worker slot and attempt count, so ``obs slo --dataset fleet``
 gates a chaos burst end to end.
@@ -38,7 +40,6 @@ gates a chaos burst end to end.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -46,18 +47,12 @@ import numpy as np
 
 from ..errors import ServeError
 from ..obs.metrics import MetricsRegistry
+from ..obs.query import latency_quantiles
 from ..obs.session import ObsSession
 from ..sciddle.resilient import RetryPolicy, ServerHealth
 from . import api
 from .admission import AdmissionController
-from .flight import (
-    STATUS_ERROR,
-    STATUS_EXPIRED,
-    STATUS_OK,
-    STATUS_SHED_DRAIN,
-    STATUS_SHED_QUEUE,
-    STATUS_SHED_RATE,
-)
+from .flight import FlightRecorder, status_code
 from .hashring import HashRing
 from .service import platform_catalog
 
@@ -66,84 +61,6 @@ FLEET_PROC = "fleet"
 
 #: Sentinel worker column value for requests never forwarded.
 NO_WORKER = -1
-
-#: Column layout of one router flight row == the ``fleet`` dataset.
-#: The first four are what ``evaluate_slo(dataset="fleet")`` scans.
-FLEET_FLOAT_COLUMNS = ("t_admit", "admit_us", "reply_s")
-FLEET_INT_COLUMNS = ("depth", "status", "worker", "attempts")
-FLEET_COLUMNS = FLEET_FLOAT_COLUMNS + FLEET_INT_COLUMNS
-
-
-def _response_status_code(response: Dict[str, Any]) -> int:
-    """Map a response envelope onto the flight-recorder status codes."""
-    status = response.get("status")
-    if status == api.OK:
-        return STATUS_OK
-    if status == api.DEADLINE_EXPIRED:
-        return STATUS_EXPIRED
-    if status == api.SHED:
-        reason = response.get("error", {}).get("reason", "")
-        if reason == "shed:queue":
-            return STATUS_SHED_QUEUE
-        if reason == "shed:drain":
-            return STATUS_SHED_DRAIN
-        return STATUS_SHED_RATE
-    return STATUS_ERROR
-
-
-class FleetRecorder:
-    """Single-writer per-request router telemetry (``fleet`` dataset).
-
-    The router records from the event-loop thread only; rows buffer in
-    memory and flush as one segment at drain/stop (the same quiescent
-    -point contract as :class:`~repro.serve.flight.FlightRecorder`).
-    """
-
-    def __init__(self, store: Optional[Any] = None, dataset: str = "fleet") -> None:
-        self.store = store
-        self.dataset = dataset
-        self._rows: List[Tuple[Any, ...]] = []
-
-    def record(
-        self,
-        t_admit: float,
-        admit_us: float,
-        reply_s: float,
-        depth: int,
-        status: int,
-        worker: int,
-        attempts: int,
-    ) -> None:
-        """Record one routed (or shed) request."""
-        self._rows.append(
-            (t_admit, admit_us, reply_s, depth, status, worker, attempts)
-        )
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def flush_sync(self) -> Optional[str]:
-        """Append buffered rows as one segment; returns the segment id."""
-        if self.store is None or not self._rows:
-            return None
-        rows = self._rows
-        self._rows = []
-        columns: Dict[str, np.ndarray] = {}
-        split = len(FLEET_FLOAT_COLUMNS)
-        for j, name in enumerate(FLEET_FLOAT_COLUMNS):
-            columns[name] = np.array([r[j] for r in rows], dtype=np.float64)
-        for j, name in enumerate(FLEET_INT_COLUMNS):
-            columns[name] = np.array([r[split + j] for r in rows], dtype=np.int64)
-        segment: str = self.store.append(
-            self.dataset, columns, meta={"source": "fleet-router"}
-        )
-        return segment
-
-    async def flush(self) -> Optional[str]:
-        """Flush off the event loop (blocking store I/O stays off-loop)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.flush_sync)
-
 
 @dataclass
 class WorkerStats:
@@ -264,141 +181,6 @@ class InProcessWorker:
                 submit.cancel()
 
 
-class TcpWorkerClient:
-    """Pipelined NDJSON link from the router to one worker process.
-
-    Unlike :class:`~repro.serve.server.TcpServeClient` (one write, one
-    read — strictly sequential), this link multiplexes: requests are
-    written with a link-local id (``f<seq>``), a single reader task
-    resolves each reply line to its waiter, and the original envelope
-    id is restored before the response returns — so concurrent
-    forwards to one worker need one socket and survive the worker's
-    out-of-order (batched) replies.  EOF or reset fails every pending
-    waiter with :class:`ConnectionError`, which the router treats as a
-    worker death.
-    """
-
-    def __init__(
-        self, host: str, port: int, connect_timeout: float = 10.0
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.connect_timeout = connect_timeout
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional["asyncio.Task[None]"] = None
-        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._seq = 0
-        self._closed = False
-
-    @property
-    def alive(self) -> bool:
-        """Whether the link is connected and the reader loop is live."""
-        return self._writer is not None and not self._closed
-
-    async def connect(self) -> None:
-        """Open the socket and start the reply reader (idempotent)."""
-        if self._writer is not None:
-            return
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.connect_timeout
-        )
-        self._closed = False
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_replies()
-        )
-
-    async def _read_replies(self) -> None:
-        """Resolve reply lines to their waiters until EOF/reset."""
-        assert self._reader is not None
-        try:
-            while True:
-                # deliberately unbounded: the reader loop waits for ANY
-                # reply; per-request bounds live in FleetRouter._forward
-                line = await self._reader.readline()  # simlint: disable=R502
-                if not line:
-                    break
-                try:
-                    reply = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line; its waiter fails at link death
-                waiter = self._pending.pop(str(reply.get("id", "")), None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(reply)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._closed = True
-            for waiter in self._pending.values():
-                if not waiter.done():
-                    waiter.set_exception(
-                        ConnectionError(
-                            f"worker link {self.host}:{self.port} lost"
-                        )
-                    )
-            self._pending.clear()
-
-    async def request(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
-        """Forward one envelope (router wraps this in ``wait_for``)."""
-        return await self._roundtrip(envelope)
-
-    async def ping(self) -> bool:
-        """Heartbeat probe (router wraps this in ``wait_for``)."""
-        response = await self._roundtrip(
-            {"kind": "ping", "id": "hb", "client": "router"}
-        )
-        return api.is_ok(response)
-
-    async def _roundtrip(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
-        if not self.alive:
-            raise ConnectionError(
-                f"worker link {self.host}:{self.port} is down"
-            )
-        assert self._writer is not None
-        if self._writer.transport.is_closing():
-            # the socket died but the reader loop hasn't seen EOF yet;
-            # failing here keeps asyncio from logging every dead write
-            raise ConnectionError(
-                f"worker link {self.host}:{self.port} is closing"
-            )
-        self._seq += 1
-        forward_id = f"f{self._seq}"
-        forwarded = dict(envelope)
-        forwarded["id"] = forward_id
-        waiter: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[forward_id] = waiter
-        try:
-            self._writer.write(api.canonical(forwarded).encode("utf-8") + b"\n")
-            await self._writer.drain()
-            reply = await waiter
-        finally:
-            self._pending.pop(forward_id, None)
-        response = dict(reply)
-        response["id"] = str(envelope.get("id", ""))
-        return response
-
-    async def close(self) -> None:
-        """Stop the reader and close the socket (idempotent)."""
-        self._closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            self._writer = None
-            self._reader = None
-
-
 #: A supervisor hook: given a dead slot, spawn a fresh worker and
 #: return its connected client (see ServeFleet._respawn).
 RespawnFn = Callable[[int], Awaitable[Any]]
@@ -439,7 +221,8 @@ class FleetRouter:
             rate=self.config.rate,
             burst=self.config.burst,
         )
-        self.records = FleetRecorder(store=store)
+        #: one ``fleet`` row per request (a bounded ring, flushed at stop)
+        self.records = FlightRecorder(store=store, dataset="fleet")
         self.stats: Dict[int, WorkerStats] = {
             slot: WorkerStats() for slot in self.workers
         }
@@ -623,39 +406,36 @@ class FleetRouter:
             request = api.parse_request(envelope)
         except ServeError as exc:
             self.metrics.counter("serve.fleet.errors").inc()
-            response = api.error_response(
-                str(envelope.get("id", "")) if isinstance(envelope, dict) else "",
-                exc.status,
-                exc.reason,
-                exc.detail,
+            return self._record(
+                api.error_response(
+                    str(envelope.get("id", "")) if isinstance(envelope, dict) else "",
+                    exc.status,
+                    exc.reason,
+                    exc.detail,
+                ),
+                t_admit, 0.0, 0.0, self._inflight, None, 0,
             )
-            self.records.record(
-                t_admit, 0.0, 0.0, self._inflight, STATUS_ERROR, NO_WORKER, 0
-            )
-            return response
 
         depth = self._inflight
         if self._draining or not self._started:
             self.metrics.counter("serve.fleet.shed_drain").inc()
-            self.records.record(
-                t_admit, 0.0, 0.0, depth, STATUS_SHED_DRAIN, NO_WORKER, 0
-            )
-            return api.error_response(
-                request.id,
-                api.SHED,
-                "shed:drain",
-                "fleet is draining for shutdown; request not accepted",
+            return self._record(
+                api.error_response(
+                    request.id,
+                    api.SHED,
+                    "shed:drain",
+                    "fleet is draining for shutdown; request not accepted",
+                ),
+                t_admit, 0.0, 0.0, depth, None, 0,
             )
 
         admit_clock = request.arrival if request.arrival is not None else t_admit
         verdict = self.admission.decide(request.client, admit_clock, depth)
         t_admitted = loop.time()
+        admit_us = (t_admitted - t_admit) * 1e6
         self._span("admit", t_admit, t_admitted, detail=request.id)
         if verdict is not None:
             self.metrics.counter(f"serve.fleet.shed_{verdict}").inc()
-            status = (
-                STATUS_SHED_QUEUE if verdict == "queue" else STATUS_SHED_RATE
-            )
             owner = (
                 self.ring.owner(self.shard_key(request.query), alive=self.alive)
                 if request.query is not None
@@ -663,20 +443,14 @@ class FleetRouter:
             )
             if owner is not None:
                 self.stats[owner].shed += 1
-            self.records.record(
-                t_admit,
-                (t_admitted - t_admit) * 1e6,
-                0.0,
-                depth,
-                status,
-                owner if owner is not None else NO_WORKER,
-                0,
-            )
-            return api.error_response(
-                request.id,
-                api.SHED,
-                f"shed:{verdict}",
-                f"request shed by fleet admission control ({verdict})",
+            return self._record(
+                api.error_response(
+                    request.id,
+                    api.SHED,
+                    f"shed:{verdict}",
+                    f"request shed by fleet admission control ({verdict})",
+                ),
+                t_admit, admit_us, 0.0, depth, owner, 0,
             )
 
         if request.kind == "ping":
@@ -701,13 +475,28 @@ class FleetRouter:
         if api.is_ok(response):
             self.metrics.counter("serve.fleet.ok").inc()
         self._span("reply", now, now, detail=request.id)
+        return self._record(
+            response, t_admit, admit_us, latency, depth, worker, attempts
+        )
+
+    def _record(
+        self,
+        response: Dict[str, Any],
+        t_admit: float,
+        admit_us: float,
+        reply_s: float,
+        depth: int,
+        worker: Optional[int],
+        attempts: int,
+    ) -> Dict[str, Any]:
+        """Leave ``response``'s ``fleet`` row (no slot: :data:`NO_WORKER`)."""
         self.records.record(
             t_admit,
-            (t_admitted - t_admit) * 1e6,
-            latency,
+            admit_us,
+            reply_s,
             depth,
-            _response_status_code(response),
-            worker if worker is not None else NO_WORKER,
+            status_code(response),
+            NO_WORKER if worker is None else worker,
             attempts,
         )
         return response
@@ -825,13 +614,7 @@ class FleetRouter:
     # -- reporting ------------------------------------------------------
     def latency_quantiles(self) -> Dict[str, float]:
         """p50/p95/p99 over router-side reply latencies (0 when empty)."""
-        from ..obs.query import percentile
-
-        return {
-            "p50": percentile(self.latencies, 0.50),
-            "p95": percentile(self.latencies, 0.95),
-            "p99": percentile(self.latencies, 0.99),
-        }
+        return latency_quantiles(self.latencies)
 
     def worker_report(self) -> Dict[str, Dict[str, int]]:
         """Per-worker tallies keyed ``w<slot>`` (the loadgen report rows)."""

@@ -15,7 +15,8 @@ line of each connection:
 
 :class:`ServeClient` is the in-process client — it submits directly to
 the service and is what the load generator and most tests use;
-:class:`TcpServeClient` speaks NDJSON over a real socket.
+:class:`TcpServeClient` is the one socket client: pipelined NDJSON, used
+by ``query --connect`` and as the fleet router's worker link.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .service import PredictionService
 
 #: Largest accepted request line/body in bytes (anti-foot-gun bound).
 MAX_REQUEST_BYTES = 1 << 20
+
+#: Seconds :meth:`TcpServeClient.connect` waits for the server to accept.
+CONNECT_TIMEOUT = 10.0
 
 
 class ServeClient:
@@ -48,28 +52,42 @@ class ServeClient:
 
 
 class TcpServeClient:
-    """NDJSON client over a real TCP connection."""
+    """Pipelined NDJSON client over one TCP connection.
+
+    Requests are written with a link-local id (``f<seq>``), a single
+    reader task resolves each reply line to its waiter, and the
+    original envelope id is restored before the response returns — so
+    concurrent requests share one socket and survive the server's
+    out-of-order (batched) replies.  EOF or reset fails every pending
+    request with :class:`ConnectionError`; the fleet router treats that
+    as a worker death, which is why its worker links are this client.
+    """
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._reader_task: Optional["asyncio.Task[None]"] = None
+        self._pending: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._seq = 0
+        self._closed = False
+
+    @property
+    def alive(self) -> bool:
+        """Whether the link is connected and the reader loop is live."""
+        return self._writer is not None and not self._closed
 
     async def connect(self) -> None:
-        """Open the connection (idempotent)."""
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-
-    async def close(self) -> None:
-        """Close the connection."""
+        """Open the socket and start the reply reader (idempotent)."""
         if self._writer is not None:
-            self._writer.close()
-            await self._writer.wait_closed()
-            self._reader = None
-            self._writer = None
+            return
+        reader, self._writer = await asyncio.wait_for(
+            asyncio.open_connection(self.host, self.port), CONNECT_TIMEOUT
+        )
+        self._closed = False
+        self._reader_task = asyncio.get_running_loop().create_task(
+            self._read_replies(reader)
+        )
 
     async def __aenter__(self) -> "TcpServeClient":
         """Async context manager: connect on enter."""
@@ -80,16 +98,80 @@ class TcpServeClient:
         """Async context manager: close on exit."""
         await self.close()
 
+    async def _read_replies(self, reader: asyncio.StreamReader) -> None:
+        """Resolve reply lines to their waiters until EOF/reset."""
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                try:
+                    reply = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # torn line; its waiter fails at link death
+                waiter = self._pending.pop(str(reply.get("id", "")), None)
+                if waiter is not None and not waiter.done():
+                    waiter.set_result(reply)
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            self._closed = True
+            for waiter in self._pending.values():
+                if not waiter.done():
+                    waiter.set_exception(
+                        ConnectionError(f"connection to {self.host}:{self.port} lost")
+                    )
+            self._pending.clear()
+
+    async def ping(self) -> bool:
+        """Heartbeat probe (the router wraps this in ``wait_for``)."""
+        response = await self.request({"kind": "ping", "id": "hb", "client": "router"})
+        return api.is_ok(response)
+
     async def request(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
-        """Submit one envelope and await one response line."""
-        await self.connect()
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(api.canonical(envelope).encode("utf-8") + b"\n")
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        """Submit one envelope and await its response."""
+        if not self.alive:
+            raise ConnectionError(f"connection to {self.host}:{self.port} is down")
+        assert self._writer is not None
+        if self._writer.transport.is_closing():
+            # the socket died but the reader loop hasn't seen EOF yet;
+            # failing here keeps asyncio from logging every dead write
+            raise ConnectionError(
+                f"connection to {self.host}:{self.port} is closing"
+            )
+        self._seq += 1
+        link_id = f"f{self._seq}"
+        waiter: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._pending[link_id] = waiter
+        try:
+            self._writer.write(
+                api.canonical(dict(envelope, id=link_id)).encode("utf-8") + b"\n"
+            )
+            await self._writer.drain()
+            reply = await waiter
+        finally:
+            self._pending.pop(link_id, None)
+        return dict(reply, id=str(envelope.get("id", "")))
+
+    async def close(self) -> None:
+        """Stop the reader and close the socket (idempotent)."""
+        self._closed = True
+        task, writer = self._reader_task, self._writer
+        self._reader_task = self._writer = None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+        if writer is not None:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass
 
 
 class ServeServer:
@@ -291,55 +373,39 @@ class ServeServer:
         await writer.drain()
 
 
-async def http_get(host: str, port: int, path: str) -> Tuple[int, Dict[str, Any]]:
-    """Tiny HTTP GET helper (tests and the CLI's health probe)."""
+async def _http_exchange(
+    host: str, port: int, head: str, body: bytes = b""
+) -> Tuple[int, Dict[str, Any]]:
+    """Send one HTTP request; returns ``(status, decoded JSON body)``."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(
-            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
-        )
+        writer.write(head.encode("latin-1") + body)
         await writer.drain()
-        status_line = await reader.readline()
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if line.lower().startswith(b"content-length:"):
-                length = int(line.split(b":", 1)[1])
-        body = await reader.readexactly(length) if length else b"{}"
-        return status, json.loads(body)
+        status = int((await reader.readline()).split()[1])
+        headers = await ServeServer._read_headers(reader)
+        length = int(headers.get("content-length", "0"))
+        payload = await reader.readexactly(length) if length else b"{}"
+        return status, json.loads(payload)
     finally:
         writer.close()
         await writer.wait_closed()
+
+
+async def http_get(host: str, port: int, path: str) -> Tuple[int, Dict[str, Any]]:
+    """Tiny HTTP GET helper (tests and the CLI's health probe)."""
+    return await _http_exchange(
+        host, port, f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n"
+    )
 
 
 async def http_post(
     host: str, port: int, path: str, payload: Dict[str, Any]
 ) -> Tuple[int, Dict[str, Any]]:
     """Tiny HTTP POST helper (tests and ``repro serve query --http``)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        body = api.canonical(payload).encode("utf-8")
-        head = (
-            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-        status_line = await reader.readline()
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if line.lower().startswith(b"content-length:"):
-                length = int(line.split(b":", 1)[1])
-        response = await reader.readexactly(length) if length else b"{}"
-        return status, json.loads(response)
-    finally:
-        writer.close()
-        await writer.wait_closed()
+    body = api.canonical(payload).encode("utf-8")
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return await _http_exchange(host, port, head, body)

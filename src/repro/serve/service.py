@@ -34,7 +34,7 @@ from ..core.parameters import ApplicationParams, ModelPlatformParams
 from ..core.prediction import predict_series
 from ..errors import ServeError
 from ..obs.metrics import MetricsRegistry
-from ..obs.query import percentile
+from ..obs.query import latency_quantiles
 from ..obs.session import ObsSession
 from ..opal.complexes import get_complex
 from ..platforms import PLATFORMS, get_platform
@@ -42,15 +42,7 @@ from . import api
 from .admission import AdmissionController
 from .batcher import MicroBatcher
 from .calibstore import SOURCE_KEY_DATA, CalibrationStore
-from .flight import (
-    STATUS_ERROR,
-    STATUS_EXPIRED,
-    STATUS_OK,
-    STATUS_SHED_DRAIN,
-    STATUS_SHED_QUEUE,
-    STATUS_SHED_RATE,
-    FlightRecorder,
-)
+from .flight import FlightRecorder, status_code
 
 #: Span process name for every serve-side span.
 SERVE_PROC = "serve"
@@ -72,8 +64,6 @@ class ServeConfig:
     rate: float = 200.0
     burst: int = 50
     refresh: str = "background"
-    #: run model evaluation in a worker thread (keeps the loop live)
-    offload: bool = True
 
 
 def _build_app(query: api.Query, servers: int) -> ApplicationParams:
@@ -324,10 +314,9 @@ class PredictionService:
         """Start the batch loop (must run inside the event loop)."""
         if self._started:
             return
-        if self.config.offload:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-compute"
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-compute"
+        )
         self.batcher.start()
         self._draining = False
         self._started = True
@@ -381,23 +370,32 @@ class PredictionService:
         self.metrics.histogram("serve.latency_s").observe(latency)
         self._span("reply", now, now, detail=pending.request.id)
         if self.flight is not None:
-            status = response.get("status")
-            code = (
-                STATUS_OK if status == api.OK
-                else STATUS_EXPIRED if status == api.DEADLINE_EXPIRED
-                else STATUS_ERROR
-            )
             self.flight.record(
-                t_admit=pending.enqueued,
-                depth=pending.depth,
-                admit_us=(pending.admit_end - pending.enqueued) * 1e6,
-                queue_us=(pending.t_batch - pending.enqueued) * 1e6,
-                compute_us=(pending.t_done - pending.t_compute) * 1e6,
-                reply_us=(now - pending.t_done) * 1e6,
-                reply_s=latency,  # bitwise the float latencies[] holds
-                status=code,
-                batch=pending.batch_size,
+                pending.enqueued,
+                (pending.admit_end - pending.enqueued) * 1e6,
+                (pending.t_batch - pending.enqueued) * 1e6,
+                (pending.t_done - pending.t_compute) * 1e6,
+                (now - pending.t_done) * 1e6,
+                latency,  # bitwise the float latencies[] holds
+                pending.depth,
+                status_code(response),
+                pending.batch_size,
             )
+
+    def _record_shed(
+        self, response: Dict[str, Any], t_admit: float, admit_end: float, depth: int
+    ) -> Dict[str, Any]:
+        """Flight-record a request answered without a batch; returns it.
+
+        Such a request never replies through the pipeline: its row has
+        no queue/compute/reply time, ``reply_s = 0`` and ``batch = 0``.
+        """
+        if self.flight is not None:
+            self.flight.record(
+                t_admit, (admit_end - t_admit) * 1e6, 0.0, 0.0, 0.0, 0.0,
+                depth, status_code(response), 0,
+            )
+        return response
 
     # ------------------------------------------------------------------
     async def submit(self, envelope: Any) -> Dict[str, Any]:
@@ -431,36 +429,26 @@ class PredictionService:
         self._span("admit", t_admit, t_admitted, detail=request.id)
         if verdict is not None:
             self.metrics.counter(f"serve.shed_{verdict}").inc()
-            if self.flight is not None:
-                self.flight.record_shed(
-                    t_admit=t_admit,
-                    depth=depth,
-                    admit_us=(t_admitted - t_admit) * 1e6,
-                    status=(
-                        STATUS_SHED_QUEUE if verdict == "queue" else STATUS_SHED_RATE
-                    ),
-                )
-            return api.error_response(
-                request.id,
-                api.SHED,
-                f"shed:{verdict}",
-                f"request shed by admission control ({verdict})",
+            return self._record_shed(
+                api.error_response(
+                    request.id,
+                    api.SHED,
+                    f"shed:{verdict}",
+                    f"request shed by admission control ({verdict})",
+                ),
+                t_admit, t_admitted, depth,
             )
 
         if self._draining:
             self.metrics.counter("serve.shed_drain").inc()
-            if self.flight is not None:
-                self.flight.record_shed(
-                    t_admit=t_admit,
-                    depth=depth,
-                    admit_us=(t_admitted - t_admit) * 1e6,
-                    status=STATUS_SHED_DRAIN,
-                )
-            return api.error_response(
-                request.id,
-                api.SHED,
-                "shed:drain",
-                "service is draining for shutdown; request not accepted",
+            return self._record_shed(
+                api.error_response(
+                    request.id,
+                    api.SHED,
+                    "shed:drain",
+                    "service is draining for shutdown; request not accepted",
+                ),
+                t_admit, t_admitted, depth,
             )
 
         if request.kind == "ping":
@@ -468,7 +456,7 @@ class PredictionService:
             return api.ok_response(request.id, {"kind": "pong"})
         if request.kind == "platforms":
             self.metrics.counter("serve.ok").inc()
-            return api.ok_response(request.id, self._platform_catalog())
+            return api.ok_response(request.id, platform_catalog())
 
         expires = t_admit + request.deadline if request.deadline is not None else None
         pending = _Pending(
@@ -486,10 +474,6 @@ class PredictionService:
             self.metrics.counter("serve.ok").inc()
         return response
 
-    def _platform_catalog(self) -> Dict[str, Any]:
-        """The catalog listing served for ``kind="platforms"``."""
-        return platform_catalog()
-
     def _shed_drained(self, leftovers: List[_Pending]) -> None:
         """Answer batcher leftovers with a deterministic drain shed."""
         if not leftovers:
@@ -498,19 +482,15 @@ class PredictionService:
             if pending.future.done():  # pragma: no cover - cancelled client
                 continue
             self.metrics.counter("serve.shed_drain").inc()
-            if self.flight is not None:
-                self.flight.record_shed(
-                    t_admit=pending.enqueued,
-                    depth=pending.depth,
-                    admit_us=(pending.admit_end - pending.enqueued) * 1e6,
-                    status=STATUS_SHED_DRAIN,
-                )
             pending.future.set_result(
-                api.error_response(
-                    pending.request.id,
-                    api.SHED,
-                    "shed:drain",
-                    "service stopped before this request reached a batch",
+                self._record_shed(
+                    api.error_response(
+                        pending.request.id,
+                        api.SHED,
+                        "shed:drain",
+                        "service stopped before this request reached a batch",
+                    ),
+                    pending.enqueued, pending.admit_end, pending.depth,
                 )
             )
 
@@ -550,12 +530,9 @@ class PredictionService:
         try:
             jobs = await self._resolve_jobs(live, t_batch)
             t_compute = loop.time()
-            if self._executor is not None:
-                results = await loop.run_in_executor(
-                    self._executor, _evaluate_jobs, jobs
-                )
-            else:
-                results = _evaluate_jobs(jobs)
+            results = await loop.run_in_executor(
+                self._executor, _evaluate_jobs, jobs
+            )
             t_done = loop.time()
             self._span(
                 "compute",
@@ -631,11 +608,7 @@ class PredictionService:
         (:func:`repro.obs.query.percentile`), so a store aggregate over
         flight-recorded ``reply_s`` reproduces these numbers exactly.
         """
-        return {
-            "p50": percentile(self.latencies, 0.50),
-            "p95": percentile(self.latencies, 0.95),
-            "p99": percentile(self.latencies, 0.99),
-        }
+        return latency_quantiles(self.latencies)
 
     def report(self) -> Dict[str, Any]:
         """Operational snapshot: admission, batching, latency, cache."""

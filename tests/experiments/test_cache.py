@@ -1,15 +1,13 @@
-"""Eviction, corruption and concurrency behaviour of the result cache.
+"""Retention, corruption and concurrency behaviour of the result cache.
 
 The on-disk cache sits under every campaign, benchmark and the serve
 layer's calibration store; these tests pin down the paths that only
-show up in production use: bounded caches evicting cold entries, torn
-or corrupted entry files, and many threads hitting one instance.
+show up in production use: entries that must never be dropped, torn or
+corrupted entry files, and many threads hitting one instance.
 """
 
 import json
 import threading
-
-import pytest
 
 from repro.experiments.cache import ResultCache
 
@@ -28,44 +26,10 @@ class TestEviction:
         for i in range(50):
             cache.store(key(i), entry(i))
         assert len(cache) == 50
-        assert cache.stats.evictions == 0
-
-    def test_lru_eviction_drops_coldest_entry(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=3)
-        for i in range(3):
-            cache.store(key(i), entry(i))
-        # touch entry 0 so entry 1 is now the coldest
-        assert cache.load(key(0)) == entry(0)
-        cache.store(key(3), entry(3))
-        assert len(cache) == 3
-        assert cache.stats.evictions == 1
-        assert cache.load(key(1)) is None  # evicted
-        assert cache.load(key(0)) == entry(0)
-        assert cache.load(key(3)) == entry(3)
-
-    def test_restoring_an_entry_counts_as_a_fresh_store(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        cache.store(key(0), entry(0))
-        cache.store(key(1), entry(1))
-        cache.store(key(0), entry(100))  # overwrite refreshes recency
-        cache.store(key(2), entry(2))  # evicts 1, not 0
-        assert cache.load(key(1)) is None
-        assert cache.load(key(0)) == entry(100)
-
-    def test_recency_is_seeded_from_disk_across_instances(self, tmp_path):
-        first = ResultCache(tmp_path)
-        for i in range(4):
-            first.store(key(i), entry(i))
-        # a new bounded instance over the same directory evicts by age
-        second = ResultCache(tmp_path, max_entries=4)
-        second.store(key(99), entry(99))
-        assert second.stats.evictions == 1
-        assert second.load(key(0)) is None  # the oldest file went first
-        assert second.load(key(3)) == entry(3)
-
-    def test_max_entries_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=0)
+        assert cache.stats.stores == 50
+        assert all(cache.load(key(i)) == entry(i) for i in range(50))
+        # a second instance over the same directory sees every entry
+        assert len(ResultCache(tmp_path)) == 50
 
 
 class TestCorruption:
@@ -140,7 +104,7 @@ class TestConcurrency:
         assert cache.stats.misses == total // 2
 
     def test_concurrent_hits_on_bounded_cache_keep_entry_count(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=4)
+        cache = ResultCache(tmp_path)
         for i in range(4):
             cache.store(key(i), entry(i))
 
@@ -154,7 +118,7 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert len(cache) == 4
-        assert cache.stats.evictions == 0
+        assert cache.stats.hits == 600
         assert cache.stats.misses == 0
 
 

@@ -1,35 +1,38 @@
-"""Flight recorder: ring semantics, flush, and live-service fidelity."""
+"""Flight recorder: ring semantics, flush, outcome codes, live fidelity."""
 
 import asyncio
 
 import pytest
 
+from repro.obs.monitor import (
+    STATUS_ERROR,
+    STATUS_EXPIRED,
+    STATUS_NAMES,
+    STATUS_OK,
+    STATUS_SHED_DRAIN,
+    STATUS_SHED_QUEUE,
+    STATUS_SHED_RATE,
+)
 from repro.obs.query import percentile, run_query
 from repro.obs.store import TelemetryStore
 from repro.serve import (
+    LoadgenReport,
     LoadSpec,
     PredictionService,
     ServeConfig,
+    api,
     build_schedule,
     run_open_loop,
 )
-from repro.serve.flight import (
-    COLUMNS,
-    STATUS_OK,
-    STATUS_SHED_RATE,
-    FlightRecorder,
-)
+from repro.serve.flight import LAYOUTS, FlightRecorder, status_code
 
 WIDE_OPEN = dict(max_queue_depth=100000, rate=1e9, burst=10**6)
 
 
 def fill(recorder, n, reply_s=0.01):
+    # t_admit admit_us queue_us compute_us reply_us reply_s depth status batch
     for i in range(n):
-        recorder.record(
-            t_admit=float(i), depth=i, admit_us=1.0, queue_us=2.0,
-            compute_us=3.0, reply_us=4.0, reply_s=reply_s, status=STATUS_OK,
-            batch=1,
-        )
+        recorder.record(float(i), 1.0, 2.0, 3.0, 4.0, reply_s, i, STATUS_OK, 1)
 
 
 # ----------------------------------------------------------------------
@@ -39,7 +42,9 @@ def test_snapshot_returns_rows_oldest_first():
     r = FlightRecorder(capacity=8)
     fill(r, 3)
     snap = r.snapshot()
-    assert set(snap) == set(COLUMNS)
+    floats, ints = LAYOUTS["serve"]
+    assert tuple(snap) == floats + ints
+    assert snap["t_admit"].dtype.kind == "f" and snap["depth"].dtype.kind == "i"
     assert list(snap["t_admit"]) == [0.0, 1.0, 2.0]
     assert list(snap["depth"]) == [0, 1, 2]
     assert len(r) == 3 and r.pending == 3
@@ -57,11 +62,14 @@ def test_wraparound_keeps_newest_and_counts_drops(tmp_path):
 
 def test_record_shed_rows_never_reply():
     r = FlightRecorder(capacity=4)
-    r.record_shed(t_admit=1.0, depth=7, admit_us=2.0, status=STATUS_SHED_RATE)
+    service = PredictionService(ServeConfig(), flight=r)
+    shed = api.error_response("r", api.SHED, "shed:rate", "shed by rate")
+    assert service._record_shed(shed, t_admit=1.0, admit_end=1.5, depth=7) is shed
     snap = r.snapshot()
     assert snap["status"][0] == STATUS_SHED_RATE
     assert snap["reply_s"][0] == 0.0
     assert snap["batch"][0] == 0
+    assert snap["depth"][0] == 7 and snap["admit_us"][0] == 0.5e6
 
 
 def test_flush_without_store_or_rows_is_a_noop(tmp_path):
@@ -81,6 +89,54 @@ def test_flush_without_store_or_rows_is_a_noop(tmp_path):
 def test_capacity_validation():
     with pytest.raises(ValueError, match="capacity"):
         FlightRecorder(capacity=0)
+
+
+def test_dataset_picks_the_row_layout(tmp_path):
+    r = FlightRecorder(store=TelemetryStore(tmp_path), dataset="fleet")
+    # t_admit admit_us reply_s depth status worker attempts
+    r.record(1.0, 2.0, 0.5, 3, STATUS_OK, 1, 0)
+    r.flush_sync()
+    segment = r.store.segments("fleet")[0]
+    assert segment["meta"] == {"source": "flight", "dropped": 0}
+    columns = r.store.read_segment(segment["id"])
+    floats, ints = LAYOUTS["fleet"]
+    assert set(columns) == set(floats + ints)
+    assert int(columns["worker"][0]) == 1 and float(columns["reply_s"][0]) == 0.5
+    with pytest.raises(ValueError, match="row layout"):
+        FlightRecorder(dataset="nope")
+
+
+# ----------------------------------------------------------------------
+# outcome codes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "status, reason, code",
+    [
+        (api.OK, None, STATUS_OK),
+        (api.SHED, "shed:rate", STATUS_SHED_RATE),
+        (api.SHED, "shed:queue", STATUS_SHED_QUEUE),
+        (api.SHED, "shed:drain", STATUS_SHED_DRAIN),
+        (api.DEADLINE_EXPIRED, "deadline-expired", STATUS_EXPIRED),
+        (api.BAD_REQUEST, "invalid-field", STATUS_ERROR),
+        (api.INTERNAL, "internal-error", STATUS_ERROR),
+    ],
+)
+def test_status_code_classifies_every_outcome(status, reason, code):
+    response = (
+        api.ok_response("r", {"kind": "pong"})
+        if reason is None
+        else api.error_response("r", status, reason)
+    )
+    assert status_code(response) == code
+    # the load generator counts the response under the code's name
+    report = LoadgenReport()
+    report._account({"id": "r"}, response)
+    counter = "errors" if STATUS_NAMES[code] == "error" else STATUS_NAMES[code]
+    counts = report.summary()
+    assert counts[counter] == 1
+    assert sum(counts[name] for name in (
+        "ok", "shed_rate", "shed_queue", "shed_drain", "expired", "errors"
+    )) == 1
 
 
 def test_async_flush_runs_off_loop(tmp_path):
@@ -148,8 +204,10 @@ def test_shed_requests_leave_shed_rows(tmp_path):
     shed = run_query(store, "serve", where="status==1", agg="count()")
     assert shed.aggregates["count()"] == float(report.shed_rate)
     assert store.rows("serve") == report.sent
-    # shed rows never reply
-    assert float(table["reply_s"][table["status"] == 1].max()) == 0.0
+    # shed rows never reply and never ride in a batch
+    shed_rows = table["status"] == STATUS_SHED_RATE
+    assert float(table["reply_s"][shed_rows].max()) == 0.0
+    assert int(table["batch"][shed_rows].max()) == 0
 
 
 def test_flight_recording_does_not_change_answers(tmp_path):

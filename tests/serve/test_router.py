@@ -14,6 +14,7 @@ from repro.obs.store import TelemetryStore
 from repro.sciddle.resilient import RetryPolicy
 from repro.serve import api
 from repro.serve.calibstore import CalibrationStore
+from repro.serve.flight import FlightRecorder
 from repro.serve.hashring import HashRing
 from repro.serve.loadgen import LoadSpec, build_schedule, run_open_loop
 from repro.serve.router import FleetConfig, FleetRouter, InProcessWorker
@@ -385,6 +386,21 @@ class TestRouterTelemetry:
             "attempts",
         }
         assert all(int(s) == 0 for s in columns["status"])  # all OK
+
+    def test_storeless_router_rows_stay_in_a_bounded_ring(self):
+        async def main():
+            router, services, _ = await boot_fleet(2)
+            router.records = FlightRecorder(capacity=4, dataset="fleet")
+            for i in range(10):  # malformed: never forwarded
+                response = await router.submit(predict_envelope(f"bad{i}", servers=0))
+                assert response["status"] == api.BAD_REQUEST
+            await shutdown(router, services)
+            return router.records
+
+        records = run(main())
+        assert len(records) == 10
+        assert records.pending == 4
+        assert list(records.snapshot()["worker"]) == [-1] * 4
 
     def test_worker_report_accounts_every_forward(self):
         async def main():

@@ -1,4 +1,4 @@
-"""TCP transports: NDJSON pipelining and the hand-rolled HTTP face."""
+"""TCP transports: NDJSON pipelining, the socket client, the HTTP face."""
 
 import asyncio
 import json
@@ -80,6 +80,51 @@ class TestNdjson:
         response = run(with_server(scenario))
         assert response["status"] == 400
         assert response["error"]["reason"] == "invalid-json"
+
+
+class TestTcpServeClient:
+    def test_concurrent_requests_share_one_connection(self):
+        async def scenario(port):
+            async with TcpServeClient("127.0.0.1", port) as client:
+                requests = asyncio.gather(
+                    *(
+                        client.request(predict_envelope(f"c{i}", servers=1 + i % 7))
+                        for i in range(8)
+                    )
+                )
+                return await asyncio.wait_for(requests, timeout=10.0)
+
+        responses = run(with_server(scenario))
+        assert [r["id"] for r in responses] == [f"c{i}" for i in range(8)]
+        assert [r["result"]["servers"] for r in responses] == [
+            1 + i % 7 for i in range(8)
+        ]
+        assert all(r["status"] == 200 for r in responses)
+
+    def test_pending_requests_fail_when_the_server_goes_away(self):
+        async def scenario():
+            async def swallow(reader, writer):
+                # take all eight requests, answer none, hang up
+                for _ in range(8):
+                    await reader.readline()
+                writer.close()
+
+            listener = await asyncio.start_server(swallow, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            async with TcpServeClient("127.0.0.1", port) as client:
+                requests = asyncio.gather(
+                    *(client.request(predict_envelope(f"c{i}")) for i in range(8)),
+                    return_exceptions=True,
+                )
+                outcomes = await asyncio.wait_for(requests, timeout=10.0)
+                alive = client.alive
+            listener.close()
+            await listener.wait_closed()
+            return outcomes, alive
+
+        outcomes, alive = run(scenario())
+        assert all(isinstance(o, ConnectionError) for o in outcomes), outcomes
+        assert not alive
 
 
 class TestHttp:
