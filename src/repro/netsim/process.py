@@ -91,7 +91,9 @@ class BarrierManager:
     Release semantics follow the paper's accounting model: each arriving
     process is *idle* from its own arrival until the last arrival, then
     all members are *synchronizing* for ``cost`` seconds, after which all
-    resume simultaneously.
+    resume simultaneously.  Each member's synchronizing interval is added
+    to its :attr:`SimProcess.sync_seconds`, so the accounted barrier
+    cost is known without a trace.
 
     Fault tolerance hooks: a *count provider* maps a barrier-name prefix
     to a live group size (so a crashed member stops being expected),
@@ -157,6 +159,7 @@ class BarrierManager:
             for arrived_at, member in group:
                 member.trace("idle", arrived_at, last_arrival, detail=name)
                 member.trace("sync", last_arrival, release, detail=name)
+                member.sync_seconds += release - last_arrival
                 self.engine.schedule_at(release, member.make_resume(None))
 
     def purge(self, proc: "SimProcess") -> None:
@@ -196,6 +199,7 @@ class SimProcess:
         "engine",
         "_tracer",
         "_mailbox",
+        "sync_seconds",
     )
 
     def __init__(
@@ -223,6 +227,9 @@ class SimProcess:
         #: this process's mailbox; wired by Cluster.spawn right after
         #: construction (the mailbox registry owns the instance)
         self._mailbox: Optional[Mailbox] = None
+        #: accounted barrier cost paid so far (the ``sync`` category),
+        #: summed in release order whether or not the tracer records
+        self.sync_seconds = 0.0
 
     # ------------------------------------------------------------------
     def trace(self, category: str, start: float, end: float, detail: str = "") -> None:

@@ -17,7 +17,7 @@ the analysis and hpm code was written against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..obs.spans import FlowEdge, Span, SpanTracer
 
@@ -34,11 +34,6 @@ class Tracer(SpanTracer):
     aliases the span list, so existing reductions keep working while
     span hierarchy and flow edges accumulate alongside.
     """
-
-    def __init__(
-        self, enabled: bool = True, clock: Optional[Callable[[], float]] = None
-    ) -> None:
-        super().__init__(enabled=enabled, clock=clock)
 
     @property
     def records(self) -> List[Span]:

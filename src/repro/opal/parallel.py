@@ -355,6 +355,10 @@ def run_parallel_opal(
     With ``obs=`` the run's trace, flow edges, metrics and measured
     breakdown are folded into that :class:`~repro.obs.ObsSession` under
     ``run_label`` (a deterministic label is derived when omitted).
+    ``keep_cluster=True`` returns the cluster with its full trace.  A
+    run with neither records no spans or flow edges: the breakdown
+    reads accountant totals and the client's accounted barrier cost
+    (:attr:`~repro.netsim.SimProcess.sync_seconds`), not the trace.
 
     ``faults=`` installs a seed-deterministic
     :class:`~repro.netsim.FaultPlan` (message drops / delay spikes /
@@ -367,7 +371,12 @@ def run_parallel_opal(
     """
     p = app.servers
     workload = OpalWorkload(app, seed=seed, defect=defect, share_noise=share_noise)
-    cluster = platform.build_cluster(p + 1, seed=seed, jitter_sigma=jitter_sigma)
+    cluster = platform.build_cluster(
+        p + 1,
+        seed=seed,
+        jitter_sigma=jitter_sigma,
+        trace=obs is not None or keep_cluster,
+    )
     pvm = PvmSystem(cluster, barrier_cost=platform.sync_cost)
     iface = make_opal_interface()
     sync = SyncDiscipline(sync_mode, group="opal", count=p + 1)
@@ -421,7 +430,7 @@ def run_parallel_opal(
         cluster.add_death_listener(_crash_detected)
 
     result_slot: dict = {}
-    pvm.spawn(
+    client_proc = pvm.spawn(
         "opal-client",
         client_node,
         _client_body,
@@ -446,13 +455,10 @@ def run_parallel_opal(
     t_comm = sum(
         v for k, v in client_acct.as_dict().items() if k.startswith("comm:")
     )
-    if sync.accounted:
-        # barrier cost paid by the client: cost portion only (the wait
-        # portion is idle); the tracer separates them exactly.
-        client_rows = cluster.tracer.by_process().get("opal-client", {})
-        t_sync = client_rows.get("sync", 0.0)
-    else:
-        t_sync = 0.0
+    # barrier cost paid by the client: cost portion only (the wait
+    # portion is idle); the barrier manager separates them exactly, and
+    # overlapped mode never reaches a barrier, so this reads 0 there
+    t_sync = client_proc.sync_seconds
     t_idle = max(wall - (t_update + t_nbint + t_seq + t_comm + t_sync), 0.0)
 
     breakdown = TimeBreakdown(

@@ -267,7 +267,7 @@ def run_parallel_opal_physics(
         raise WorkloadError("servers must be >= 1")
     if steps < 1:
         raise WorkloadError("steps must be >= 1")
-    cluster = platform.build_cluster(servers + 1, seed=seed)
+    cluster = platform.build_cluster(servers + 1, seed=seed, trace=False)
     pvm = PvmSystem(cluster, barrier_cost=platform.sync_cost)
     iface = make_opal_interface()
     sync = SyncDiscipline(sync_mode, group="opal-phys", count=servers + 1)

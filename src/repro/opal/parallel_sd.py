@@ -170,7 +170,9 @@ def run_parallel_opal_sd(
     p = app.servers
     if p < 1:
         raise WorkloadError("servers must be >= 1")
-    cluster = platform.build_cluster(p, seed=seed, jitter_sigma=jitter_sigma)
+    cluster = platform.build_cluster(
+        p, seed=seed, jitter_sigma=jitter_sigma, trace=False
+    )
     pvm = PvmSystem(cluster, barrier_cost=platform.sync_cost)
 
     clock = lambda: cluster.engine.now  # noqa: E731

@@ -28,8 +28,20 @@ from typing import Any, Dict, List, Optional, Tuple
 from . import api
 from .service import PredictionService
 
-#: Largest accepted request line/body in bytes (anti-foot-gun bound).
+#: Largest accepted request line/body in bytes (anti-foot-gun bound);
+#: also the server's ``StreamReader`` limit, so a longer NDJSON line is
+#: answered with a ``request-too-large`` 400 instead of breaking the read.
 MAX_REQUEST_BYTES = 1 << 20
+
+#: Largest reply line :class:`TcpServeClient` reads.  The largest reply
+#: is a sweep's: each requested server count (at least two request
+#: bytes, ``1,``) comes back with a time and a speedup of at most 24
+#: bytes each, so it stays under 25 times ``MAX_REQUEST_BYTES``.
+MAX_REPLY_BYTES = 32 * MAX_REQUEST_BYTES
+
+#: Seconds a refused connection keeps discarding input before closing,
+#: so the kernel does not reset it (and drop the 400) over unread data.
+LINGER_SECONDS = 1.0
 
 #: Seconds :meth:`TcpServeClient.connect` waits for the server to accept.
 CONNECT_TIMEOUT = 10.0
@@ -82,7 +94,8 @@ class TcpServeClient:
         if self._writer is not None:
             return
         reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), CONNECT_TIMEOUT
+            asyncio.open_connection(self.host, self.port, limit=MAX_REPLY_BYTES),
+            CONNECT_TIMEOUT,
         )
         self._closed = False
         self._reader_task = asyncio.get_running_loop().create_task(
@@ -102,7 +115,10 @@ class TcpServeClient:
         """Resolve reply lines to their waiters until EOF/reset."""
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # a line over MAX_REPLY_BYTES ends the link
+                    break
                 if not line:
                     break
                 try:
@@ -200,7 +216,7 @@ class ServeServer:
         """Start the service and begin listening."""
         await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_REQUEST_BYTES
         )
 
     async def stop(self) -> None:
@@ -231,7 +247,11 @@ class ServeServer:
     ) -> None:
         """Sniff the protocol from the first line and dispatch."""
         try:
-            first = await reader.readline()
+            try:
+                first = await reader.readline()
+            except ValueError:  # over the reader limit, MAX_REQUEST_BYTES
+                await self._refuse_oversized(reader, writer)
+                return
             if not first:
                 return
             if first.startswith((b"POST ", b"GET ", b"HEAD ")):
@@ -272,15 +292,44 @@ class ServeServer:
                 await writer.drain()
 
         line = first
+        oversized = False
         while line:
             stripped = line.strip()
             if stripped:
-                if len(stripped) > MAX_REQUEST_BYTES:
-                    break
                 tasks.append(asyncio.get_running_loop().create_task(answer(stripped)))
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # over the reader limit, MAX_REQUEST_BYTES
+                oversized = True
+                break
         if tasks:
             await asyncio.gather(*tasks)
+        if oversized:
+            await self._refuse_oversized(reader, writer)
+
+    @staticmethod
+    async def _refuse_oversized(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer a line over ``MAX_REQUEST_BYTES`` with a 400, then
+        half-close and discard input until EOF (at most
+        ``LINGER_SECONDS``), so the caller's close is a clean FIN."""
+        response = api.error_response(
+            "", api.BAD_REQUEST, "request-too-large",
+            f"request lines are limited to {MAX_REQUEST_BYTES} bytes",
+        )
+        writer.write(api.canonical(response).encode("utf-8") + b"\n")
+        await writer.drain()
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
     # -- HTTP -----------------------------------------------------------
     async def _handle_http(

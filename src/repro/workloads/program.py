@@ -5,7 +5,7 @@ of :class:`PhaseStep` — the single IR both backends consume:
 
 * :func:`run_workload_program` executes the steps on the simulator with
   the paper's full instrumentation discipline (phase barriers, per-
-  process accountants, tracer-separated sync cost), exactly mirroring
+  process accountants, barrier-accounted sync cost), exactly mirroring
   the Opal program in :mod:`repro.opal.parallel`;
 * ``WorkloadFamily.terms`` (see :mod:`repro.workloads.base`) reduces
   the same steps to closed-form regressors for the model.
@@ -184,15 +184,18 @@ def run_workload_program(
     server compute from the server accountants (mean over servers,
     reported as the ``nbint`` pair-work component), sequential and
     communication time from the client accountant, synchronization from
-    the tracer's accounted barrier-cost rows, idle as the clamped
-    remainder of the wall clock.
+    the client's accounted barrier cost
+    (:attr:`~repro.netsim.SimProcess.sync_seconds`), idle as the clamped
+    remainder of the wall clock.  The run records no trace.
     """
     if servers < 1:
         raise WorkloadError(f"{family}: servers must be >= 1, got {servers}")
     if not steps:
         raise WorkloadError(f"{family}: compiled program has no steps")
     p = servers
-    cluster = platform.build_cluster(p + 1, seed=seed, jitter_sigma=jitter_sigma)
+    cluster = platform.build_cluster(
+        p + 1, seed=seed, jitter_sigma=jitter_sigma, trace=False
+    )
     pvm = PvmSystem(cluster, barrier_cost=platform.sync_cost)
     iface = make_workload_interface(family)
     group = f"wl-{family}"
@@ -215,16 +218,12 @@ def run_workload_program(
             FaultPlan(faults, cluster.rng).install(cluster)
 
     clock = lambda: cluster.engine.now  # noqa: E731
-    client_acct = PhaseAccountant(
-        clock, client_node.hpm, tracer=cluster.tracer, proc=f"{group}-client"
-    )
+    client_acct = PhaseAccountant(clock, client_node.hpm)
     server_accts = []
     server_procs = []
     for i in range(p):
         node = platform.place(cluster, i + 1)
-        acct = PhaseAccountant(
-            clock, node.hpm, tracer=cluster.tracer, proc=f"{group}-server{i}"
-        )
+        acct = PhaseAccountant(clock, node.hpm)
         server_accts.append(acct)
         server_procs.append(
             pvm.spawn(f"{group}-server{i}", node, _server_body, iface, sync,
@@ -232,7 +231,7 @@ def run_workload_program(
         )
 
     result_slot: dict = {}
-    pvm.spawn(
+    client_proc = pvm.spawn(
         f"{group}-client",
         client_node,
         _client_body,
@@ -253,8 +252,7 @@ def run_workload_program(
     t_comm = sum(
         v for k, v in client_acct.as_dict().items() if k.startswith("comm:")
     )
-    client_rows = cluster.tracer.by_process().get(f"{group}-client", {})
-    t_sync = client_rows.get("sync", 0.0)
+    t_sync = client_proc.sync_seconds
     t_idle = max(wall - (t_work + t_seq + t_comm + t_sync), 0.0)
 
     breakdown = TimeBreakdown(

@@ -3,14 +3,19 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.serve import (
     PredictionService,
     ServeConfig,
     ServeServer,
     TcpServeClient,
+    api,
     http_get,
     http_post,
 )
+from repro.serve import server as server_module
+from repro.serve.server import MAX_REQUEST_BYTES
 
 WIDE_OPEN = dict(max_queue_depth=100000, rate=1e9, burst=10**6)
 
@@ -25,6 +30,15 @@ def predict_envelope(rid, servers=4):
         "id": rid,
         "client": "tcp",
         "query": {"platform": "j90", "molecule": "medium", "servers": servers},
+    }
+
+
+def sweep_envelope(rid, servers):
+    return {
+        "kind": "sweep",
+        "id": rid,
+        "client": "tcp",
+        "query": {"platform": "j90", "molecule": "medium", "servers": list(servers)},
     }
 
 
@@ -80,6 +94,101 @@ class TestNdjson:
         response = run(with_server(scenario))
         assert response["status"] == 400
         assert response["error"]["reason"] == "invalid-json"
+
+
+class TestLineLimits:
+    """Lines past asyncio's default 64 KiB reader limit, both directions."""
+
+    def test_a_129_kb_sweep_request_is_answered(self):
+        envelope = sweep_envelope("big", range(1, 24001))
+        assert len(api.canonical(envelope)) > 129_000
+
+        async def scenario(port):
+            async with TcpServeClient("127.0.0.1", port) as client:
+                return await asyncio.wait_for(client.request(envelope), 30.0)
+
+        response = run(with_server(scenario))
+        assert response["status"] == 200
+        assert response["result"]["servers"] == list(range(1, 24001))
+
+    @pytest.mark.parametrize("preamble", [b"", b'{"kind":"ping","id":"p"}\n'])
+    def test_a_line_over_the_limit_gets_a_400_then_the_connection_closes(
+        self, preamble
+    ):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(preamble + b"x" * (MAX_REQUEST_BYTES + 1) + b"\n")
+            await writer.drain()
+            lines = [await reader.readline() for _ in range(preamble.count(b"\n") + 1)]
+            tail = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            return [json.loads(line) for line in lines], tail
+
+        responses, tail = run(with_server(scenario))
+        refused = responses[-1]
+        assert refused["status"] == 400
+        assert refused["error"]["reason"] == "request-too-large"
+        assert [r["status"] for r in responses[:-1]] == [200] * (len(responses) - 1)
+        assert tail == b""
+
+    def test_a_line_of_exactly_the_limit_is_parsed(self):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"x" * MAX_REQUEST_BYTES + b"\n")
+            await writer.drain()
+            writer.write_eof()
+            response = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        response = run(with_server(scenario))
+        assert response["error"]["reason"] == "invalid-json"
+
+    def test_a_130_kb_reply_arrives_through_the_client(self):
+        envelope = sweep_envelope("wide", range(1, 3001))
+        assert len(api.canonical(envelope)) < 64 * 1024
+
+        async def scenario(port):
+            async with TcpServeClient("127.0.0.1", port) as client:
+                return await asyncio.wait_for(client.request(envelope), 30.0)
+
+        response = run(with_server(scenario))
+        assert response["status"] == 200
+        assert len(api.canonical(response)) > 130_000
+        assert response["result"]["servers"] == list(range(1, 3001))
+
+    def test_a_reply_over_the_client_bound_ends_the_link_cleanly(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_REPLY_BYTES", 1024)
+
+        async def scenario():
+            async def oversized_reply(reader, writer):
+                await reader.readline()
+                writer.write(b'{"id":"f1","pad":"' + b"x" * 4096 + b'"}\n')
+                await writer.drain()
+                await reader.read()  # hold the socket until the client closes
+                writer.close()
+
+            listener = await asyncio.start_server(oversized_reply, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            client = TcpServeClient("127.0.0.1", port)
+            await client.connect()
+            try:
+                outcome = await asyncio.wait_for(
+                    client.request(predict_envelope("big")), 10.0
+                )
+            except ConnectionError as exc:
+                outcome = exc
+            alive = client.alive
+            await client.close()  # must not re-raise from the reader task
+            listener.close()
+            await listener.wait_closed()
+            return outcome, alive
+
+        outcome, alive = run(scenario())
+        assert isinstance(outcome, ConnectionError)
+        assert not alive
 
 
 class TestTcpServeClient:
