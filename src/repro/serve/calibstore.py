@@ -1,13 +1,13 @@
-"""Calibration store: content-addressed caching of fitted parameters.
+"""Calibration store: one table of fitted parameters per process.
 
 A ``calibrated=True`` query wants model coefficients *fitted to
 measurements* (the paper's Section 3 protocol) rather than derived from
 the platform's Table 1/2 key data.  Fitting means running a reduced
 campaign — 28 simulated cells — which takes far too long to sit on a
-request's critical path, so the store caches fitted
+request's critical path, so the store keeps fitted
 :class:`~repro.core.parameters.ModelPlatformParams` three ways:
 
-* **in memory**, an LRU of the last ``max_entries`` platforms fitted;
+* **in memory**, one entry per (platform, family) fit, never evicted;
 * **on disk** (optional ``cache_dir``), reusing
   :class:`~repro.experiments.cache.ResultCache` — the same
   content-addressed keying as campaign cells, so a store survives
@@ -18,15 +18,16 @@ request's critical path, so the store caches fitted
   ``"blocking"`` awaits the fit (off-loop, in an executor).
 
 The content key covers the platform's key data, the design, and the
-measurement protocol — change any of them and the old fit misses.
+measurement protocol — change any of them and the old fit misses.  It
+is computed once per (platform, family), on first use, so a request
+pays a dict lookup rather than a SHA-256 over the design.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.calibration import calibrate, calibrate_terms
 from ..core.parameters import ModelPlatformParams
@@ -70,7 +71,7 @@ def params_from_dict(data: Dict[str, object]) -> ModelPlatformParams:
 
 
 class CalibrationStore:
-    """LRU + disk cache of fitted platform parameters.
+    """In-memory table + disk cache of fitted platform parameters.
 
     ``design`` defaults to the paper's reduced fraction; ``seed``,
     ``jitter_sigma`` and ``repetitions`` fix the measurement protocol
@@ -78,6 +79,11 @@ class CalibrationStore:
     out after that many seconds on the supplied monotonic ``clock`` —
     a stale entry still serves, but triggers a background refit when
     the refresh policy allows one.
+
+    The table holds one entry per fit and needs no bound: the query
+    parser admits only registry platforms and registered families, so
+    a serving process holds at most one v1 fit and one fit per family
+    for each platform (24 entries for 6 platforms and 3 families).
     """
 
     def __init__(
@@ -86,25 +92,19 @@ class CalibrationStore:
         seed: int = 0,
         jitter_sigma: float = DEFAULT_JITTER,
         repetitions: int = 1,
-        max_entries: int = 8,
         cache_dir=None,
         stale_after: Optional[float] = None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
         self.design = list(design) if design is not None else reduced_design()
-        #: the design's share of every key, built once (keys are per request)
-        self._design_key_data = [cell.key_data() for cell in self.design]
         self.seed = seed
         self.jitter_sigma = jitter_sigma
         self.repetitions = repetitions
-        self.max_entries = max_entries
         self.stale_after = stale_after
         self.disk = ResultCache(cache_dir) if cache_dir is not None else None
-        #: key -> (params, fitted_at), least-recently-used first
-        self._entries: "OrderedDict[str, Tuple[ModelPlatformParams, float]]" = (
-            OrderedDict()
-        )
+        #: content key -> (params, fitted_at)
+        self._entries: Dict[str, Tuple[ModelPlatformParams, float]] = {}
+        #: (platform spec, family name or None for the v1 fit) -> content key
+        self._keys: Dict[Tuple[Any, Optional[str]], str] = {}
         self._inflight: Dict[str, "asyncio.Task[ModelPlatformParams]"] = {}
         self.hits = 0
         self.misses = 0
@@ -118,7 +118,7 @@ class CalibrationStore:
             {
                 "kind": "calibration",
                 "platform": platform_key_data(spec),
-                "design": self._design_key_data,
+                "design": [cell.key_data() for cell in self.design],
                 "protocol": {
                     "seed": self.seed,
                     "jitter_sigma": self.jitter_sigma,
@@ -192,37 +192,6 @@ class CalibrationStore:
         return result.params
 
     # ------------------------------------------------------------------
-    def _remember(self, key: str, params: ModelPlatformParams, now: float) -> None:
-        """Insert into the in-memory LRU (disk persistence is separate).
-
-        Memory-only so coroutines never touch the filesystem on-loop:
-        simlint S701 flagged the old combined version because the
-        ``disk.store`` inside it put ``open()`` two frames under
-        ``async def resolve``.
-        """
-        self._entries.pop(key, None)
-        self._entries[key] = (params, now)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def _lookup(
-        self, key: str, now: float
-    ) -> Tuple[Optional[ModelPlatformParams], bool]:
-        """Memory probe: ``(params, disk_may_help)``.
-
-        A stale in-memory entry returns ``(None, False)`` — the disk
-        holds the same aged fit, so resurrecting it would defeat
-        ``stale_after``; the caller should refit instead.
-        """
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            params, fitted_at = entry
-            if self.stale_after is not None and now - fitted_at > self.stale_after:
-                return None, False  # stale: caller decides whether to refit
-            return params, False
-        return None, self.disk is not None
-
     async def _load_off_loop(
         self, key: str, now: float
     ) -> Optional[ModelPlatformParams]:
@@ -236,7 +205,7 @@ class CalibrationStore:
             params = params_from_dict(data)
         except (KeyError, TypeError, ValueError):
             return None  # corrupt disk entry = miss
-        self._remember(key, params, now)
+        self._entries[key] = (params, now)
         return params
 
     async def _fit_off_loop(
@@ -244,7 +213,7 @@ class CalibrationStore:
     ) -> ModelPlatformParams:
         loop = asyncio.get_running_loop()
         params = await loop.run_in_executor(None, fit)
-        self._remember(key, params, now)
+        self._entries[key] = (params, now)
         if self.disk is not None:
             await loop.run_in_executor(
                 None, self.disk.store, key, params_to_dict(params)
@@ -286,9 +255,11 @@ class CalibrationStore:
             raise ValueError(
                 f"refresh must be one of {REFRESH_MODES}, got {refresh!r}"
             )
-        params, try_disk = self._lookup(key, now)
-        if params is None and try_disk:
+        params, fitted_at = self._entries.get(key, (None, now))
+        if params is None and self.disk is not None:
             params = await self._load_off_loop(key, now)
+        elif self.stale_after is not None and now - fitted_at > self.stale_after:
+            params = None  # stale: the disk holds the same aged fit, so refit
         if params is not None:
             self.hits += 1
             return params, SOURCE_CALIBRATED
@@ -312,8 +283,11 @@ class CalibrationStore:
         produced, and :data:`SOURCE_KEY_DATA` when the store fell back
         to Table 1/2-derived parameters under the given policy.
         """
+        key = self._keys.get((spec, None))
+        if key is None:
+            key = self._keys[spec, None] = self.key_for_platform(spec)
         return await self._resolve_keyed(
-            self.key_for_platform(spec),
+            key,
             partial(self.fit, spec),
             partial(ModelPlatformParams.from_spec, spec),
             now,
@@ -329,9 +303,12 @@ class CalibrationStore:
         family's own calibration design and the fallback derives the
         family's coefficients from the platform's technical key data.
         """
+        key = self._keys.get((spec, family_name))
+        if key is None:
+            key = self._keys[spec, family_name] = self.key_for_family(spec, family_name)
         family = get_family(family_name)
         return await self._resolve_keyed(
-            self.key_for_family(spec, family_name),
+            key,
             partial(self.fit_family, spec, family_name),
             partial(family.key_data_params, spec),
             now,

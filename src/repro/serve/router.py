@@ -28,8 +28,9 @@ the router supervises recovery — the respawned incarnation keeps its
 slot id, reclaims its exact ring points, and (with a shared
 calibration ``cache_dir``) reloads calibrations warm.
 
-Observability: per-worker ``serve.fleet.*`` counters, router spans on
-the ``fleet`` process, and one per-request row in the ``fleet``
+Observability: fleet-wide ``serve.fleet.*`` counters, per-worker
+tallies in :meth:`FleetRouter.worker_report`, router spans on the
+``fleet`` process, and one per-request row in the ``fleet``
 dataset, held in a bounded :class:`~repro.serve.flight.FlightRecorder`
 ring and flushed into a :class:`~repro.obs.store.TelemetryStore` —
 SLO-compatible columns (``t_admit``/``status``/``reply_s``/``depth``)
@@ -560,7 +561,6 @@ class FleetRouter:
             )
             client = self.workers[slot]
             self.stats[slot].forwarded += 1
-            self.metrics.counter(f"serve.fleet.w{slot}.forwarded").inc()
             t0 = loop.time()
             try:
                 response = await asyncio.wait_for(
@@ -584,7 +584,6 @@ class FleetRouter:
             else:
                 self.health.record_success(slot)
                 self.stats[slot].completed += 1
-                self.metrics.counter(f"serve.fleet.w{slot}.completed").inc()
                 self._span(
                     "forward", t0, loop.time(), detail=f"w{slot} {request.id}"
                 )

@@ -281,7 +281,7 @@ class ServeServer:
         async def answer(line: bytes) -> None:
             try:
                 envelope = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8 at all
                 response = api.error_response(
                     "", api.BAD_REQUEST, "invalid-json", "unparseable request line"
                 )
@@ -307,19 +307,23 @@ class ServeServer:
         if oversized:
             await self._refuse_oversized(reader, writer)
 
-    @staticmethod
+    @classmethod
     async def _refuse_oversized(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        cls, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Answer a line over ``MAX_REQUEST_BYTES`` with a 400, then
-        half-close and discard input until EOF (at most
-        ``LINGER_SECONDS``), so the caller's close is a clean FIN."""
+        """Answer a line over ``MAX_REQUEST_BYTES`` with a 400, then linger."""
         response = api.error_response(
             "", api.BAD_REQUEST, "request-too-large",
             f"request lines are limited to {MAX_REQUEST_BYTES} bytes",
         )
         writer.write(api.canonical(response).encode("utf-8") + b"\n")
         await writer.drain()
+        await cls._linger(reader, writer)
+
+    @staticmethod
+    async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Half-close, then discard input until EOF (at most ``LINGER_SECONDS``),
+        so closing over an unread request does not reset away the reply."""
         writer.write_eof()
 
         async def discard() -> None:
@@ -348,7 +352,13 @@ class ServeServer:
                 api.error_response("", api.BAD_REQUEST, "bad-request-line"),
             )
             return
-        headers = await self._read_headers(reader)
+        try:
+            headers = await self._read_headers(reader)
+        except ValueError:  # a header line or block over MAX_REQUEST_BYTES
+            response = api.error_response("", api.BAD_REQUEST, "request-too-large")
+            await self._http_reply(writer, api.BAD_REQUEST, response)
+            await self._linger(reader, writer)
+            return
         if method == "GET" and target == "/healthz":
             await self._http_reply(writer, api.OK, {"status": "ok"})
             return
@@ -359,7 +369,10 @@ class ServeServer:
             await self._http_reply(writer, response["status"], response)
             return
         if method == "POST" and target == "/v1/query":
-            length = int(headers.get("content-length", "0"))
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:  # not a number: refused like a missing one
+                length = 0
             if length <= 0 or length > MAX_REQUEST_BYTES:
                 await self._http_reply(
                     writer,
@@ -369,11 +382,12 @@ class ServeServer:
                         "POST /v1/query needs a JSON body with Content-Length",
                     ),
                 )
+                await self._linger(reader, writer)
                 return
             body = await reader.readexactly(length)
             try:
                 envelope = json.loads(body)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8 at all
                 await self._http_reply(
                     writer,
                     api.BAD_REQUEST,
@@ -394,10 +408,15 @@ class ServeServer:
 
     @staticmethod
     async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
-        """Read HTTP headers up to the blank line (names lowercased)."""
+        """Read HTTP headers up to the blank line (names lowercased);
+        ``ValueError`` if a line or the block is over ``MAX_REQUEST_BYTES``."""
         headers: Dict[str, str] = {}
+        size = 0
         while True:
             line = await reader.readline()
+            size += len(line)
+            if size > MAX_REQUEST_BYTES:
+                raise ValueError(f"header block over {MAX_REQUEST_BYTES} bytes")
             if line in (b"\r\n", b"\n", b""):
                 return headers
             name, _, value = line.decode("latin-1").partition(":")

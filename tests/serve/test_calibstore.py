@@ -1,6 +1,8 @@
-"""Calibration store: content keys, LRU/disk caching, refresh policies."""
+"""Calibration store: content keys, the fit table, disk caching, refresh policies."""
 
 import asyncio
+import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -45,6 +47,16 @@ class TestKeys:
         a = CalibrationStore(design=tiny_design())
         b = CalibrationStore(design=tiny_design())
         assert a.key_for_platform(CRAY_J90) == b.key_for_platform(CRAY_J90)
+
+    def test_default_protocol_keys_are_pinned(self):
+        # fits already on disk keep hitting only while these stay put
+        store = CalibrationStore()
+        assert store.key_for_platform(CRAY_J90) == (
+            "8e05f0ca2a7dbed9482ff2c6c05efcc026f856a0694ce9fb38c8379e1215c5fd"
+        )
+        assert store.key_for_family(CRAY_J90, "collective") == (
+            "5a75fa4fd703f4f21ee023e22206980c3010f712fe01decd4cddf1935a767ea5"
+        )
 
 
 class TestParamsRoundTrip:
@@ -145,20 +157,58 @@ class TestDiskPersistence:
         assert fresh.fits == 1  # the torn entry forced a real fit
 
 
-class TestLruAndStaleness:
-    def test_lru_bound_caps_in_memory_entries(self):
+class TestTable:
+    def test_every_fit_stays_in_memory_across_a_rotation(self):
+        platforms = [
+            dataclasses.replace(CRAY_J90, name=f"j90-{i}") for i in range(9)
+        ]
+
         async def scenario():
-            store = CalibrationStore(design=tiny_design(), max_entries=1)
-            await store.resolve(CRAY_J90, now=0.0, refresh="blocking")
-            await store.resolve(CRAY_T3E, now=0.0, refresh="blocking")
-            # J90 was evicted from memory; with no disk it must refit
-            await store.resolve(CRAY_J90, now=0.0, refresh="blocking")
+            store = CalibrationStore(design=tiny_design())
+            for _ in range(2):
+                for spec in platforms:
+                    await store.resolve(spec, now=0.0, refresh="blocking")
             return store
 
         store = run(scenario())
-        assert store.fits == 3
-        assert len(store._entries) == 1
+        assert store.fits == 9  # one per platform, none evicted
+        assert (store.hits, store.misses) == (9, 9)
 
+    def test_key_is_computed_once_per_platform_and_family(self, monkeypatch):
+        store = CalibrationStore(design=tiny_design())
+        for name in ("key_for_platform", "key_for_family"):
+            monkeypatch.setattr(store, name, mock.Mock(wraps=getattr(store, name)))
+
+        async def scenario():
+            for t in range(3):
+                await store.resolve(CRAY_J90, now=float(t), refresh="none")
+                await store.resolve_family(
+                    CRAY_J90, "collective", now=float(t), refresh="none"
+                )
+
+        run(scenario())
+        assert store.key_for_platform.call_count == 1
+        assert store.key_for_family.call_count == 1
+
+    def test_v1_and_opal_family_fits_are_separate_entries(self):
+        async def scenario():
+            store = CalibrationStore(design=tiny_design())
+            v1 = await store.resolve(CRAY_J90, now=0.0, refresh="blocking")
+            family = await store.resolve_family(
+                CRAY_J90, "opal", now=0.0, refresh="blocking"
+            )
+            return store, v1, family
+
+        store, (v1_params, v1_source), (family_params, family_source) = run(
+            scenario()
+        )
+        assert v1_source == family_source == SOURCE_CALIBRATED
+        assert store.fits == 2 and (store.hits, store.misses) == (0, 2)
+        assert v1_params.name == f"{CRAY_J90.name}-serve-fit"
+        assert family_params.name == f"{CRAY_J90.name}-opal-serve-fit"
+
+
+class TestLruAndStaleness:
     def test_stale_entry_triggers_background_refit(self):
         async def scenario():
             store = CalibrationStore(design=tiny_design(), stale_after=10.0)
@@ -178,7 +228,3 @@ class TestLruAndStaleness:
         assert fresh_source == SOURCE_CALIBRATED
         assert stale_source == SOURCE_KEY_DATA
         assert store.fits == 2
-
-    def test_rejects_bad_max_entries(self):
-        with pytest.raises(ValueError):
-            CalibrationStore(design=tiny_design(), max_entries=0)

@@ -95,6 +95,21 @@ class TestNdjson:
         assert response["status"] == 400
         assert response["error"]["reason"] == "invalid-json"
 
+    def test_a_line_that_is_not_utf8_gets_an_error_response(self):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"\x80abc\n")
+            await writer.drain()
+            writer.write_eof()
+            response = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        response = run(with_server(scenario))
+        assert response["status"] == 400
+        assert response["error"]["reason"] == "invalid-json"
+
 
 class TestLineLimits:
     """Lines past asyncio's default 64 KiB reader limit, both directions."""
@@ -189,6 +204,52 @@ class TestLineLimits:
         outcome, alive = run(scenario())
         assert isinstance(outcome, ConnectionError)
         assert not alive
+
+
+class TestHttpHeadLimits:
+    """A malformed or oversized HTTP request head gets a 400 envelope."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, reason",
+        [
+            (
+                b"POST /v1/query HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+                "invalid-length",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"x" * (MAX_REQUEST_BYTES + 1)
+                + b"\r\n\r\n",
+                "request-too-large",
+            ),
+            (
+                # every line is under the limit; the block is over it
+                b"GET /healthz HTTP/1.1\r\n"
+                + (b"X-Pad: " + b"x" * (1 << 16) + b"\r\n") * 17
+                + b"\r\n",
+                "request-too-large",
+            ),
+        ],
+        ids=["non-numeric-content-length", "header-line-over-limit", "header-block-over-limit"],
+    )
+    def test_bad_head_gets_a_400_and_the_server_lives_on(self, request_bytes, reason):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(request_bytes)
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            health = await http_get("127.0.0.1", port, "/healthz")
+            return reply, health
+
+        reply, health = run(with_server(scenario))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        envelope = json.loads(body)
+        assert envelope["status"] == 400
+        assert envelope["error"]["reason"] == reason
+        assert health == (200, {"status": "ok"})
 
 
 class TestTcpServeClient:
@@ -292,6 +353,20 @@ class TestHttp:
             return int(status_line.split()[1])
 
         assert run(with_server(scenario)) == 400
+
+    def test_a_body_that_is_not_utf8_is_rejected(self):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b"POST /v1/query HTTP/1.1\r\nContent-Length: 4\r\n\r\n\x80abc")
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            return reply
+
+        head, _, body = run(with_server(scenario)).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"]["reason"] == "invalid-json"
 
 
 class TestLifecycle:
