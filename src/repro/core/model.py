@@ -24,12 +24,16 @@ All times are client-perspective wall-clock seconds for the whole run of
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Any, Iterable, List
+
+import numpy as np
 
 from ..errors import ModelError
 from .breakdown import TimeBreakdown
 from .parameters import (
+    EXACT_INT_LIMIT,
     ApplicationParams,
+    FamilyTermColumns,
     FamilyWorkloadTerms,
     ModelPlatformParams,
     workload_terms,
@@ -64,6 +68,47 @@ def terms_breakdown(
         sync=terms.sync_ops * params.b5,
         idle=0.0,
     )
+
+
+def terms_totals(
+    params: ModelPlatformParams, columns: FamilyTermColumns
+) -> np.ndarray:
+    """``terms_breakdown(params, terms).total`` at every server count.
+
+    Each component is the same float64 operation as in
+    :func:`terms_breakdown`, applied elementwise, and the components are
+    added in :attr:`TimeBreakdown.total`'s order (``update + nbint``,
+    then ``seq_comp``, ``comm``, ``sync`` and the zero ``idle``), so
+    every entry equals the scalar total bit for bit.
+    """
+    update_ops, pair_ops, seq_ops, comm_bytes, comm_msgs, sync_ops = columns.matrix
+    update = params.a2 * update_ops
+    nbint = params.a3 * pair_ops
+    seq_comp = params.a4 * seq_ops
+    comm = comm_bytes / params.a1 + comm_msgs * params.b1
+    sync = sync_ops * params.b5
+    return update + nbint + seq_comp + comm + sync + 0.0
+
+
+class _ServerVector:
+    """The attributes equations (3)-(10) read, with ``p`` a float64 vector.
+
+    The equations touch the server count only through arithmetic, so
+    the model's own ``t_*`` methods, handed this view of an
+    :class:`ApplicationParams`, evaluate every server count at once
+    with the scalar path's association.
+    """
+
+    __slots__ = ("p", "s", "n", "update_rate", "alpha", "molecule", "cutoff")
+
+    def __init__(self, app: ApplicationParams, p: np.ndarray) -> None:
+        self.p = p
+        self.s = app.s
+        self.n = app.n
+        self.update_rate = app.update_rate
+        self.alpha = app.alpha
+        self.molecule = app.molecule
+        self.cutoff = app.cutoff
 
 
 class OpalPerformanceModel:
@@ -141,13 +186,33 @@ class OpalPerformanceModel:
     def execution_times(
         self, app: ApplicationParams, servers: Iterable[int]
     ) -> List[float]:
-        """Predicted t_OPAL over a range of server counts."""
-        out = []
-        for p in servers:
-            if p < 1:
-                raise ModelError("server counts must be >= 1")
-            out.append(self.predict_total(app.with_(servers=p)))
-        return out
+        """Predicted t_OPAL over a range of server counts.
+
+        One pass over the server vector: every entry equals
+        ``predict_total(app.with_(servers=p))`` bit for bit.  A server or
+        step count past 2**53 takes the per-p path, where Python divides
+        the integers ``s / p`` exactly and float64 cannot; so does a
+        subclass, which may redefine any equation (the imbalance-aware
+        model adds an idle term).
+        """
+        servers = list(servers)
+        if servers and min(servers) < 1:
+            raise ModelError("server counts must be >= 1")
+        if (
+            type(self) is not OpalPerformanceModel
+            or app.s > EXACT_INT_LIMIT
+            or (servers and max(servers) > EXACT_INT_LIMIT)
+        ):
+            return [self.predict_total(app.with_(servers=p)) for p in servers]
+        view: Any = _ServerVector(app, np.array(servers, dtype=np.float64))
+        totals: Any = (
+            self.t_par_comp(view)
+            + self.t_seq_comp(view)
+            + self.t_comm(view)
+            + self.t_sync(view)
+            + 0.0
+        )
+        return totals.tolist()
 
     def communication_bound_at(
         self, app: ApplicationParams, max_servers: int = 64

@@ -9,9 +9,12 @@ Opal run, invariant across machines — and *platform parameters*
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import ModelError
 from ..opal import costs
@@ -200,6 +203,12 @@ class WorkloadTerms:
     energy_pairs: float
 
 
+#: The six :class:`FamilyWorkloadTerms` counts, in field order.
+TERM_NAMES = (
+    "update_ops", "pair_ops", "seq_ops", "comm_bytes", "comm_msgs", "sync_ops",
+)
+
+
 @dataclass(frozen=True)
 class FamilyWorkloadTerms:
     """Closed-form regressors of one lowered workload cell.
@@ -230,10 +239,7 @@ class FamilyWorkloadTerms:
     sync_ops: float = 0.0
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "update_ops", "pair_ops", "seq_ops",
-            "comm_bytes", "comm_msgs", "sync_ops",
-        ):
+        for field_name in TERM_NAMES:
             if getattr(self, field_name) < 0:
                 raise ModelError(f"{field_name} must be >= 0")
 
@@ -246,6 +252,72 @@ class FamilyWorkloadTerms:
             comm_msgs=self.comm_msgs + other.comm_msgs,
             sync_ops=self.sync_ops + other.sync_ops,
         )
+
+
+#: Largest integer total a float64 holds with every smaller integer
+#: exact: a sum of non-negative integer-valued floats equals its exact
+#: integer total while that total stays at or below this bound.
+EXACT_INT_LIMIT = 2**53
+
+
+def server_counts(servers: Iterable[int]) -> Tuple[int, ...]:
+    """A validated server vector: integer counts, each at least 1."""
+    counts = tuple(operator.index(p) for p in servers)
+    if counts and min(counts) < 1:
+        raise ModelError("server counts must be >= 1")
+    return counts
+
+
+class FamilyTermColumns:
+    """:class:`FamilyWorkloadTerms` over a vector of server counts.
+
+    ``matrix`` holds one float64 row per count (in :data:`TERM_NAMES`
+    order) and one column per entry of ``servers``; column ``i`` holds
+    exactly the floats of the cell's terms at ``servers[i]``
+    (:meth:`terms_at`).  A workload family's ``lower`` builds this once
+    per spec, and :func:`repro.core.model.terms_totals` evaluates every
+    column in one pass.
+    """
+
+    __slots__ = ("servers", "matrix")
+
+    def __init__(self, servers: Tuple[int, ...], matrix: np.ndarray) -> None:
+        if matrix.shape != (len(TERM_NAMES), len(servers)):
+            raise ModelError(
+                f"term matrix has shape {matrix.shape}, want "
+                f"({len(TERM_NAMES)}, {len(servers)})"
+            )
+        if matrix.size and matrix.min() < 0:
+            row = int(np.argmin(matrix.min(axis=1)))
+            raise ModelError(f"{TERM_NAMES[row]} must be >= 0")
+        self.servers = servers
+        self.matrix = matrix
+
+    @classmethod
+    def stack(
+        cls, servers: Tuple[int, ...], counts: Sequence[Any]
+    ) -> "FamilyTermColumns":
+        """Build from six counts, each a scalar or a per-server vector."""
+        if len(counts) != len(TERM_NAMES):
+            raise ModelError(f"need {len(TERM_NAMES)} counts, got {len(counts)}")
+        matrix = np.empty((len(TERM_NAMES), len(servers)))
+        for index, count in enumerate(counts):
+            matrix[index] = count
+        return cls(servers, matrix)
+
+    @classmethod
+    def from_rows(
+        cls, servers: Tuple[int, ...], rows: Sequence[FamilyWorkloadTerms]
+    ) -> "FamilyTermColumns":
+        """Stack per-server-count terms (``rows[i]`` at ``servers[i]``)."""
+        return cls(servers, np.array(
+            [[getattr(row, name) for row in rows] for name in TERM_NAMES],
+            dtype=np.float64,
+        ))
+
+    def terms_at(self, index: int) -> FamilyWorkloadTerms:
+        """The terms at ``servers[index]``, as Python floats."""
+        return FamilyWorkloadTerms(*self.matrix[:, index].tolist())
 
 
 @lru_cache(maxsize=4096)

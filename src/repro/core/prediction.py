@@ -43,23 +43,35 @@ class PredictionSeries:
         """True if adding servers past the optimum costs time."""
         return self.times[-1] > self.best_time * (1.0 + 1e-9)
 
+    @classmethod
+    def from_times(
+        cls, platform: str, servers: Sequence[int], times: Sequence[float]
+    ) -> "PredictionSeries":
+        """The series of predicted ``times`` at ``servers`` (speedups vs the first)."""
+        return cls(
+            platform=platform,
+            servers=tuple(servers),
+            times=tuple(times),
+            speedups=tuple(speedup_curve(times)),
+        )
+
 
 def predict_series(
     model_params: ModelPlatformParams,
     app: ApplicationParams,
     servers: Sequence[int] = tuple(range(1, 8)),
 ) -> PredictionSeries:
-    """Predicted execution-time and speedup curves for one platform."""
+    """Predicted execution-time and speedup curves for one platform.
+
+    One pass over the server vector
+    (:meth:`~repro.core.model.OpalPerformanceModel.execution_times`).
+    """
     servers = tuple(servers)
     if not servers:
         raise ModelError("need at least one server count")
     model = OpalPerformanceModel(model_params)
-    times = tuple(model.execution_times(app, servers))
-    return PredictionSeries(
-        platform=model_params.name,
-        servers=servers,
-        times=times,
-        speedups=tuple(speedup_curve(list(times))),
+    return PredictionSeries.from_times(
+        model_params.name, servers, model.execution_times(app, servers)
     )
 
 

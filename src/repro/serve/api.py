@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from ..errors import ServeError
+
+if TYPE_CHECKING:  # the workloads package loads lazily, on a family query
+    from ..workloads.spec import WorkloadSpec
 
 #: Wire format version; bump on any incompatible schema change.
 WIRE_VERSION = 1
@@ -86,8 +89,9 @@ class Query:
     #: workload family answering this query; "opal" is the v1 wire
     #: format (family-less queries parse to it unchanged)
     family: str = "opal"
-    #: canonicalized family spec params (non-opal families only)
-    spec: Optional[Tuple[Tuple[str, Any], ...]] = None
+    #: the validated family spec (non-opal families only); evaluation
+    #: lowers it as it is, without validating the params again
+    spec: Optional["WorkloadSpec"] = None
 
     @property
     def compute_key(self) -> Tuple[Any, ...]:
@@ -95,8 +99,9 @@ class Query:
 
         Everything except the server count — the whole point of the
         micro-batcher is that a batch over one (platform, molecule,
-        cutoff, update, steps) cell shares the calibration resolve, the
-        model instance and the memoized workload terms.
+        cutoff, update, steps) cell, or one family spec, shares the
+        calibration resolve.  The spec enters as its canonical params,
+        so the key stays JSON-able (the fleet router hashes it).
         """
         return (
             self.platform,
@@ -106,7 +111,7 @@ class Query:
             self.update_interval,
             self.steps,
             self.family,
-            self.spec,
+            self.spec.params if self.spec is not None else None,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -119,7 +124,7 @@ class Query:
                 "platform": self.platform,
                 "servers": servers,
                 "family": self.family,
-                "spec": dict(self.spec or ()),
+                "spec": self.spec.params_dict() if self.spec is not None else {},
                 "calibrated": self.calibrated,
             }
         return {
@@ -384,7 +389,7 @@ def _parse_family_query(data: Any, kind: str, family: str) -> Query:
         servers=_parse_servers(data, kind),
         calibrated=_parse_calibrated(data),
         family=family,
-        spec=spec.params,
+        spec=spec,
     )
 
 

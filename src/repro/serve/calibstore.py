@@ -220,6 +220,21 @@ class CalibrationStore:
             )
         return params
 
+    def _start_fit(
+        self, fit: Callable[[], ModelPlatformParams], key: str, now: float
+    ) -> "asyncio.Task[ModelPlatformParams]":
+        """Run one fit as a task that stays in ``_inflight`` until it ends."""
+
+        async def run() -> ModelPlatformParams:
+            try:
+                return await self._fit_off_loop(fit, key, now)
+            finally:
+                self._inflight.pop(key, None)
+
+        task = asyncio.get_running_loop().create_task(run())
+        self._inflight[key] = task
+        return task
+
     def _spawn_refresh(
         self, fit: Callable[[], ModelPlatformParams], key: str, now: float
     ) -> None:
@@ -227,17 +242,10 @@ class CalibrationStore:
         if key in self._inflight:
             return
         self.refreshes += 1
-
-        async def refresh() -> ModelPlatformParams:
-            try:
-                return await self._fit_off_loop(fit, key, now)
-            finally:
-                self._inflight.pop(key, None)
-
-        self._inflight[key] = asyncio.get_running_loop().create_task(refresh())
+        self._start_fit(fit, key, now)
 
     async def drain(self) -> None:
-        """Await all in-flight background fits (tests and shutdown)."""
+        """Await all in-flight fits (tests and shutdown)."""
         while self._inflight:
             await asyncio.gather(*list(self._inflight.values()))
 
@@ -265,10 +273,11 @@ class CalibrationStore:
             return params, SOURCE_CALIBRATED
         self.misses += 1
         if refresh == "blocking":
+            # one fit per key: concurrent misses await the fit in flight
             inflight = self._inflight.get(key)
-            if inflight is not None:
-                return await asyncio.shield(inflight), SOURCE_CALIBRATED
-            return await self._fit_off_loop(fit, key, now), SOURCE_CALIBRATED
+            if inflight is None:
+                inflight = self._start_fit(fit, key, now)
+            return await asyncio.shield(inflight), SOURCE_CALIBRATED
         if refresh == "background":
             self._spawn_refresh(fit, key, now)
         return fallback(), SOURCE_KEY_DATA

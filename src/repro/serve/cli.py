@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import hashlib
 import json
 import signal
 import sys
@@ -314,6 +315,20 @@ def _bit_identity_check(
     }
 
 
+def _report_result(report: LoadgenReport) -> Dict[str, Any]:
+    """A bench report's JSON summary plus the digest of every answer.
+
+    ``responses_sha256`` is the SHA-256 of
+    :meth:`~repro.serve.loadgen.LoadgenReport.canonical_responses`: two
+    runs of one schedule served the same bytes iff their digests match.
+    """
+    result = report.summary()
+    result["responses_sha256"] = hashlib.sha256(
+        report.canonical_responses().encode()
+    ).hexdigest()
+    return result
+
+
 def _bench_fleet(args: argparse.Namespace, spec: LoadSpec) -> Dict[str, Any]:
     """The ``bench --fleet N`` campaign: chaos taps + bit-identity oracle."""
     from .fleet import FleetSpec, ServeFleet
@@ -353,7 +368,7 @@ def _bench_fleet(args: argparse.Namespace, spec: LoadSpec) -> Dict[str, Any]:
                 abort=chaos if args.kill_worker is not None else None,
             )
             report.per_worker = router.worker_report()
-            result: Dict[str, Any] = report.summary()
+            result: Dict[str, Any] = _report_result(report)
             result["latency"] = router.latency_quantiles()
             result["fleet"] = fleet.report()
             result["shed_ids"] = report.shed_ids()
@@ -395,7 +410,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             report = await run_open_loop(
                 ServeClient(service).request, schedule, pace=args.pace
             )
-        result: Dict[str, Any] = report.summary()
+        result = _report_result(report)
         result["latency"] = service.latency_quantiles()
         result["service"] = service.report()
         result["shed_ids"] = report.shed_ids()

@@ -9,12 +9,17 @@ off-loaded to a single worker thread so the event loop keeps accepting
 requests while the model computes.
 
 Batching exploits the model's structure: all requests in a batch that
-share a (platform, calibration, molecule, cutoff, update, steps) cell
-reuse one calibration resolve, one
-:class:`~repro.core.model.OpalPerformanceModel` and the memoized
-workload terms; each point is then evaluated by exactly the same
-per-point code path as an unbatched request, so responses are
-bit-identical whether a query was served alone or in a batch of 64.
+share a compute cell (platform, calibration, and the Opal molecule,
+cutoff, update and steps or the family spec) reuse one calibration
+resolve, and identical (kind, cell, servers) jobs are evaluated once.
+Each job is evaluated by exactly the code path of an unbatched request,
+so responses are bit-identical whether a query was served alone or in
+a batch of 64.  A sweep is lowered once, not once per server count:
+the v1 model evaluates equations (3)-(10) over the whole server vector
+(:meth:`~repro.core.model.OpalPerformanceModel.execution_times`), and a
+family sweep lowers the query's already validated spec to term columns
+(``WorkloadFamily.lower``) that
+:func:`~repro.core.model.terms_totals` turns into times in one pass.
 
 Every stage is observable: with ``obs=`` the service records per-stage
 spans (``admit``/``queue``/``compute``/``reply`` on the ``serve``
@@ -29,15 +34,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.model import OpalPerformanceModel
+from ..core.breakdown import TimeBreakdown
+from ..core.model import OpalPerformanceModel, terms_breakdown, terms_totals
 from ..core.parameters import ApplicationParams, ModelPlatformParams
-from ..core.prediction import predict_series
+from ..core.prediction import PredictionSeries, predict_series
 from ..errors import ServeError
 from ..obs.metrics import MetricsRegistry
 from ..obs.query import latency_quantiles
 from ..obs.session import ObsSession
 from ..opal.complexes import get_complex
 from ..platforms import PLATFORMS, get_platform
+from ..workloads import get_family
 from . import api
 from .admission import AdmissionController
 from .batcher import MicroBatcher
@@ -77,6 +84,56 @@ def _build_app(query: api.Query, servers: int) -> ApplicationParams:
     )
 
 
+def _workload_fields(query: api.Query) -> Dict[str, Any]:
+    """What a response says about the workload: the molecule, or the spec."""
+    if query.family == "opal":
+        return {"molecule": query.molecule}
+    assert query.spec is not None  # family queries always carry one
+    return {"family": query.family, "spec": query.spec.params_dict()}
+
+
+def _point_result(
+    query: api.Query, servers: int, breakdown: TimeBreakdown, t1: float,
+    source: str,
+) -> Dict[str, Any]:
+    """The ``predict`` result of both point evaluators."""
+    total = breakdown.total
+    return {
+        "kind": "predict",
+        "platform": query.platform,
+        **_workload_fields(query),
+        "servers": servers,
+        "time": total,
+        "speedup": t1 / total,
+        "breakdown": breakdown.as_dict(),
+        "calibration": source,
+    }
+
+
+def _sweep_servers(query: api.Query) -> Tuple[int, ...]:
+    """A sweep query's server vector."""
+    if isinstance(query.servers, tuple):
+        return query.servers
+    return (int(query.servers),)
+
+
+def _sweep_result(
+    query: api.Query, series: PredictionSeries, source: str
+) -> Dict[str, Any]:
+    """The ``sweep`` result of both sweep evaluators."""
+    return {
+        "kind": "sweep",
+        "platform": query.platform,
+        **_workload_fields(query),
+        "servers": list(series.servers),
+        "times": list(series.times),
+        "speedups": list(series.speedups),
+        "best_time": series.best_time,
+        "saturation": series.saturation,
+        "calibration": source,
+    }
+
+
 def _evaluate_point(
     params: ModelPlatformParams, query: api.Query, source: str
 ) -> Dict[str, Any]:
@@ -90,108 +147,39 @@ def _evaluate_point(
     servers = int(query.servers)  # point queries carry a single count
     breakdown = model.breakdown(_build_app(query, servers))
     t1 = model.breakdown(_build_app(query, 1)).total
-    total = breakdown.total
-    return {
-        "kind": "predict",
-        "platform": query.platform,
-        "molecule": query.molecule,
-        "servers": servers,
-        "time": total,
-        "speedup": t1 / total,
-        "breakdown": breakdown.as_dict(),
-        "calibration": source,
-    }
+    return _point_result(query, servers, breakdown, t1, source)
 
 
 def _evaluate_sweep(
     params: ModelPlatformParams, query: api.Query, source: str
 ) -> Dict[str, Any]:
-    """One sweep prediction over the query's server range."""
-    servers = (
-        query.servers
-        if isinstance(query.servers, tuple)
-        else (int(query.servers),)
-    )
+    """One sweep prediction: equations (3)-(10) over the server vector."""
+    servers = _sweep_servers(query)
     series = predict_series(params, _build_app(query, servers[0]), servers)
-    return {
-        "kind": "sweep",
-        "platform": query.platform,
-        "molecule": query.molecule,
-        "servers": list(series.servers),
-        "times": list(series.times),
-        "speedups": list(series.speedups),
-        "best_time": series.best_time,
-        "saturation": series.saturation,
-        "calibration": source,
-    }
-
-
-def _family_terms(query: api.Query, servers: int):
-    """The closed-form regressors of one (family query, server count)."""
-    from ..workloads import get_family
-
-    family = get_family(query.family)
-    spec = family.spec_from_params(dict(query.spec or ()))
-    return family.terms(spec, servers)
+    return _sweep_result(query, series, source)
 
 
 def _evaluate_family_point(
     params: ModelPlatformParams, query: api.Query, source: str
 ) -> Dict[str, Any]:
     """One non-opal point prediction (pure, batch-size independent)."""
-    from ..core.model import terms_breakdown
-
     servers = int(query.servers)
-    breakdown = terms_breakdown(params, _family_terms(query, servers))
-    t1 = terms_breakdown(params, _family_terms(query, 1)).total
-    total = breakdown.total
-    return {
-        "kind": "predict",
-        "platform": query.platform,
-        "family": query.family,
-        "spec": dict(query.spec or ()),
-        "servers": servers,
-        "time": total,
-        "speedup": t1 / total,
-        "breakdown": breakdown.as_dict(),
-        "calibration": source,
-    }
+    columns = get_family(query.family).lower(query.spec, (servers, 1))
+    breakdown = terms_breakdown(params, columns.terms_at(0))
+    t1 = terms_breakdown(params, columns.terms_at(1)).total
+    return _point_result(query, servers, breakdown, t1, source)
 
 
 def _evaluate_family_sweep(
     params: ModelPlatformParams, query: api.Query, source: str
 ) -> Dict[str, Any]:
-    """One non-opal sweep prediction over the query's server range."""
-    from ..core.model import terms_breakdown
-    from ..core.prediction import PredictionSeries
-    from ..core.speedup import speedup_curve
-
-    servers = (
-        query.servers
-        if isinstance(query.servers, tuple)
-        else (int(query.servers),)
+    """One non-opal sweep: the spec lowered once over the server vector."""
+    servers = _sweep_servers(query)
+    columns = get_family(query.family).lower(query.spec, servers)
+    series = PredictionSeries.from_times(
+        query.platform, servers, terms_totals(params, columns).tolist()
     )
-    times = tuple(
-        terms_breakdown(params, _family_terms(query, p)).total for p in servers
-    )
-    series = PredictionSeries(
-        platform=query.platform,
-        servers=servers,
-        times=times,
-        speedups=tuple(speedup_curve(list(times))),
-    )
-    return {
-        "kind": "sweep",
-        "platform": query.platform,
-        "family": query.family,
-        "spec": dict(query.spec or ()),
-        "servers": list(series.servers),
-        "times": list(series.times),
-        "speedups": list(series.speedups),
-        "best_time": series.best_time,
-        "saturation": series.saturation,
-        "calibration": source,
-    }
+    return _sweep_result(query, series, source)
 
 
 def platform_catalog() -> Dict[str, Any]:
@@ -581,8 +569,6 @@ class PredictionService:
                             spec, query.family, now, refresh=self.config.refresh
                         )
                     else:
-                        from ..workloads import get_family
-
                         resolved[group] = (
                             get_family(query.family).key_data_params(spec),
                             SOURCE_KEY_DATA,

@@ -5,7 +5,11 @@ A :class:`WorkloadFamily` owns a schema (tuple of
 specs to :class:`~repro.workloads.program.PhaseStep` programs, and —
 derived from that compiler unless overridden — the closed-form
 :class:`~repro.core.parameters.FamilyWorkloadTerms` the model
-evaluates.  Families register themselves at import time
+evaluates, one cell at a time (``terms``) or over a whole server vector
+(``lower``).  A :class:`ClosedFormFamily` computes the terms of every
+server count in one pass from integer closed forms, and keeps the
+program sum as its reference and its fallback.  Families register
+themselves at import time
 (:func:`register_family`); everything downstream — campaigns, serve
 queries, loadgen mixes — resolves them by name via
 :func:`get_family`, which raises an actionable
@@ -15,12 +19,15 @@ queries, loadgen mixes — resolves them by name via
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Type
 
 from ..core.parameters import (
+    EXACT_INT_LIMIT,
     ApplicationParams,
+    FamilyTermColumns,
     FamilyWorkloadTerms,
     ModelPlatformParams,
+    server_counts,
 )
 from ..errors import WorkloadError
 from ..netsim import FaultSpec
@@ -145,6 +152,20 @@ class WorkloadFamily(abc.ABC):
             sync_ops=2.0 * len(steps),
         )
 
+    def lower(
+        self, spec: WorkloadSpec, servers: Iterable[int]
+    ) -> FamilyTermColumns:
+        """The cell terms at every server count, as float64 columns.
+
+        Column ``i`` equals ``terms(spec, servers[i])`` bit for bit; the
+        default stacks exactly those.  Raises
+        :class:`~repro.errors.ModelError` for a count below 1.
+        """
+        counts = server_counts(servers)
+        return FamilyTermColumns.from_rows(
+            counts, [self.terms(spec, p) for p in counts]
+        )
+
     def simulate(
         self,
         spec: WorkloadSpec,
@@ -213,6 +234,56 @@ class WorkloadFamily(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<WorkloadFamily {self.name}>"
+
+
+class ClosedFormFamily(WorkloadFamily):
+    """A family whose program sums have a closed form in the server count.
+
+    :meth:`lower` evaluates the closed form over the whole server vector
+    at once, and :meth:`terms` reads that same lowering for one count.
+    The closed form must reproduce the program sum of
+    :meth:`WorkloadFamily.terms` bit for bit, and an integer total is
+    exact in float64 only up to :data:`EXACT_INT_LIMIT`; so whenever one
+    of :meth:`integer_totals` exceeds it, that server count falls back to
+    the program sum.  The totals never fall as the server count grows,
+    so checking the largest count clears the whole vector.
+    """
+
+    @abc.abstractmethod
+    def integer_totals(self, spec: WorkloadSpec, servers: Any) -> Tuple[Any, ...]:
+        """The integer-valued totals of the closed form at ``servers``.
+
+        ``servers`` is a Python int (the exactness check, in unbounded
+        integers) or an int64 array (inside :meth:`closed_form`).
+        """
+
+    @abc.abstractmethod
+    def closed_form(
+        self, spec: WorkloadSpec, servers: Tuple[int, ...]
+    ) -> FamilyTermColumns:
+        """The terms over ``servers``, every integer total within bounds."""
+
+    def exact(self, spec: WorkloadSpec, servers: int) -> bool:
+        """Whether the closed form at ``servers`` equals the program sum."""
+        return max(self.integer_totals(spec, servers)) <= EXACT_INT_LIMIT
+
+    def lower(
+        self, spec: WorkloadSpec, servers: Iterable[int]
+    ) -> FamilyTermColumns:
+        """The closed form over the server vector (see the class doc)."""
+        counts = server_counts(servers)
+        if not counts or self.exact(spec, max(counts)):
+            return self.closed_form(spec, counts)
+        return FamilyTermColumns.from_rows(counts, [
+            self.closed_form(spec, (p,)).terms_at(0)
+            if self.exact(spec, p)
+            else WorkloadFamily.terms(self, spec, p)
+            for p in counts
+        ])
+
+    def terms(self, spec: WorkloadSpec, servers: int) -> FamilyWorkloadTerms:
+        """One cell's terms: the lowering of the vector ``(servers,)``."""
+        return self.lower(spec, (servers,)).terms_at(0)
 
 
 _FAMILIES: Dict[str, WorkloadFamily] = {}

@@ -32,10 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.breakdown import TimeBreakdown
 from ..core.calibration import CalibrationResult, calibrate_terms
-from ..core.model import terms_breakdown
+from ..core.model import terms_breakdown, terms_totals
 from ..core.parameters import ApplicationParams
 from ..core.prediction import PredictionSeries
-from ..core.speedup import speedup_curve
 from ..errors import DesignError, WorkloadError
 from ..experiments.cache import (
     CacheStats,
@@ -537,19 +536,14 @@ def run_workload_campaign(
             if candidate is platform
             else family.key_data_params(candidate)
         )
-        per_spec: Dict[str, PredictionSeries] = {}
-        for spec in specs:
-            times = tuple(
-                terms_breakdown(params, family.terms(spec, p)).total
-                for p in server_axis
+        predictions[candidate.name] = {
+            family.spec_label(spec): PredictionSeries.from_times(
+                candidate.name,
+                server_axis,
+                terms_totals(params, family.lower(spec, server_axis)).tolist(),
             )
-            per_spec[family.spec_label(spec)] = PredictionSeries(
-                platform=candidate.name,
-                servers=server_axis,
-                times=times,
-                speedups=tuple(speedup_curve(list(times))),
-            )
-        predictions[candidate.name] = per_spec
+            for spec in specs
+        }
 
     if store_dir is not None:
         from ..obs.ingest import ingest_records

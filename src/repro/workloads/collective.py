@@ -15,13 +15,20 @@ allreduce   ``message_bytes`` both ways; servers reduce their payload
             partial results on the final stage of each round
 alltoall    every rank exchanges with every other: ``(p-1) *
             message_bytes`` each way per stage, no compute
+
+Every term is an integer count: a cell runs ``rounds * depth(p)`` steps
+of identical traffic, so the terms of a whole server vector follow from
+the tree depth of each count (:meth:`CollectiveFamily.integer_totals`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from .base import WorkloadFamily, register_family
+import numpy as np
+
+from ..core.parameters import FamilyTermColumns
+from .base import ClosedFormFamily, register_family
 from .program import CTRL_BYTES, PhaseStep
 from .spec import FieldSpec, WorkloadSpec
 
@@ -41,7 +48,7 @@ def tree_stages(participants: int, fanout: int) -> int:
 
 
 @register_family
-class CollectiveFamily(WorkloadFamily):
+class CollectiveFamily(ClosedFormFamily):
     """Tree-structured collective communication rounds (see module doc)."""
 
     name = "collective"
@@ -116,6 +123,44 @@ class CollectiveFamily(WorkloadFamily):
                     )
                 steps.append(step)
         return tuple(steps)
+
+    def integer_totals(self, spec: WorkloadSpec, servers: Any) -> Tuple[Any, ...]:
+        """(pair_ops, seq_ops, comm_bytes, comm_msgs, sync_ops) of the program."""
+        pattern = spec.get("pattern")
+        m = int(spec.get("message_bytes"))
+        rounds = int(spec.get("rounds"))
+        fanout = int(spec.get("fanout"))
+        if isinstance(servers, np.ndarray):
+            depth = np.array(
+                [tree_stages(p + 1, fanout) for p in servers.tolist()],
+                dtype=np.int64,
+            )
+        else:
+            depth = tree_stages(servers + 1, fanout)
+        steps = rounds * depth
+        elements = m // BYTES_PER_ELEMENT if pattern == "allreduce" else 0
+        if pattern == "barrier":
+            exchanged = 2 * CTRL_BYTES
+        elif pattern == "broadcast":
+            exchanged = m + CTRL_BYTES
+        elif pattern == "allreduce":
+            exchanged = 2 * m
+        else:  # alltoall: max(p - 1, 1) payloads each way, for p >= 1
+            exchanged = 2 * m * (servers - 1 + (servers == 1))
+        return (
+            elements * steps,
+            rounds * servers * elements,
+            servers * exchanged * steps,
+            2 * servers * steps,
+            2 * steps,
+        )
+
+    def closed_form(
+        self, spec: WorkloadSpec, servers: Tuple[int, ...]
+    ) -> FamilyTermColumns:
+        """Every term from the integer totals of each server count."""
+        totals = self.integer_totals(spec, np.array(servers, dtype=np.int64))
+        return FamilyTermColumns.stack(servers, (0, *totals))
 
     def campaign_specs(
         self, base: Optional[WorkloadSpec] = None

@@ -12,6 +12,11 @@ matrix updates across the servers.  One compiled phase step per panel:
   server, which answers with a control ack;
 * each server updates its share of the trailing matrix
   (``2 * trailing^2 * block / p`` flops inside the phase barriers).
+
+Every term but the update flops is an integer count
+(:meth:`HplFamily.integer_totals`).  The update flops divide by ``p``
+inside each panel, so their total stays what the program sums: builtin
+``sum`` over the panels in order, which CPython 3.12 made compensated.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
+from ..core.parameters import FamilyTermColumns
 from ..errors import WorkloadError
-from .base import WorkloadFamily, register_family
+from .base import ClosedFormFamily, register_family
 from .program import CTRL_BYTES, PhaseStep
 from .spec import FieldSpec, WorkloadSpec
 
@@ -29,7 +37,7 @@ BYTES_PER_ENTRY = 8
 
 
 @register_family
-class HplFamily(WorkloadFamily):
+class HplFamily(ClosedFormFamily):
     """Blocked dense-solver rounds: panel factor + broadcast + update."""
 
     name = "hpl"
@@ -84,6 +92,34 @@ class HplFamily(WorkloadFamily):
                 )
             )
         return tuple(steps)
+
+    def integer_totals(self, spec: WorkloadSpec, servers: Any) -> Tuple[Any, ...]:
+        """(seq_ops, comm_bytes, comm_msgs, sync_ops) of the program."""
+        n = int(spec.get("matrix_n"))
+        nb = int(spec.get("block"))
+        panels = math.ceil(n / nb)
+        # the trailing order n - k * nb, summed over the panels k
+        trailing = panels * n - nb * panels * (panels - 1) // 2
+        return (
+            trailing * nb * nb,
+            servers * (trailing * nb * BYTES_PER_ENTRY + panels * CTRL_BYTES),
+            2 * servers * panels,
+            2 * panels,
+        )
+
+    def closed_form(
+        self, spec: WorkloadSpec, servers: Tuple[int, ...]
+    ) -> FamilyTermColumns:
+        """The integer totals, and the update flops summed in panel order."""
+        n = int(spec.get("matrix_n"))
+        nb = int(spec.get("block"))
+        trailing = n - nb * np.arange(math.ceil(n / nb), dtype=np.int64)
+        p = np.array(servers, dtype=np.float64)[:, np.newaxis]
+        # one row per server count of the program's per-panel update flops
+        update_flops = 2.0 * trailing * trailing * nb / p
+        pair_ops = [sum(panels) for panels in update_flops.tolist()]
+        totals = self.integer_totals(spec, np.array(servers, dtype=np.int64))
+        return FamilyTermColumns.stack(servers, (0, pair_ops, *totals))
 
     def campaign_specs(
         self, base: Optional[WorkloadSpec] = None

@@ -117,6 +117,28 @@ class TestResolve:
         assert store.refreshes == 1
         assert store.fits == 1
 
+    @pytest.mark.parametrize("family", [None, "collective"])
+    def test_concurrent_blocking_misses_share_one_fit(self, family):
+        # later blocking misses on a key await the fit already running
+        async def scenario():
+            store = CalibrationStore(design=tiny_design())
+            if family is None:
+                def resolve():
+                    return store.resolve(CRAY_J90, now=0.0, refresh="blocking")
+            else:
+                def resolve():
+                    return store.resolve_family(
+                        CRAY_J90, family, now=0.0, refresh="blocking"
+                    )
+            answers = await asyncio.gather(resolve(), resolve(), resolve())
+            return store, answers
+
+        store, answers = run(scenario())
+        assert (store.fits, store.misses, store.hits) == (1, 3, 0)
+        assert store.refreshes == 0  # only background refits count there
+        assert [source for _, source in answers] == [SOURCE_CALIBRATED] * 3
+        assert answers[0][0] is answers[1][0] is answers[2][0]
+
     def test_unknown_refresh_mode_is_rejected(self):
         async def scenario():
             store = CalibrationStore(design=tiny_design())

@@ -66,6 +66,19 @@ class TestBench:
         assert first["shed_ids"] == second["shed_ids"]
         assert first["shed_ids"]  # the overload actually shed something
 
+    def test_responses_digest_matches_across_batch_sizes(self, capsys):
+        base = ["bench", "--clients", "4", "--requests", "6", "--seed", "3",
+                "--family-mix", "collective=0.3,hpl=0.2,opal=0.5", "--json"]
+
+        def digest(*extra):
+            assert main(base + list(extra)) == 0
+            return json.loads(capsys.readouterr().out)["responses_sha256"]
+
+        batched = digest("--sweep-fraction", "0.5")
+        assert len(batched) == 64
+        assert digest("--sweep-fraction", "0.5", "--max-batch", "1") == batched
+        assert digest("--sweep-fraction", "0") != batched  # it digests the answers
+
     def test_impossible_p99_budget_fails(self):
         assert main(["bench", "--clients", "2", "--requests", "4",
                      "--p99-budget", "1e-12"]) == 1
