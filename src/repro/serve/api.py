@@ -36,6 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
+from ..core.parameters import EXACT_INT_LIMIT
 from ..errors import ServeError
 
 if TYPE_CHECKING:  # the workloads package loads lazily, on a family query
@@ -169,6 +170,14 @@ def _parse_int(value: Any, name: str, minimum: int = 1) -> int:
         BAD_REQUEST,
         "invalid-field",
         f"{name} must be >= {minimum}, got {value!r}",
+    )
+    # past 2**53 a count is no longer exact in float64, and far past it
+    # the model overflows (500) or answers an infinity (not JSON)
+    _require(
+        value <= EXACT_INT_LIMIT,
+        BAD_REQUEST,
+        "invalid-field",
+        f"{name} must be <= 2**53, got {value!r}",
     )
     return int(value)
 

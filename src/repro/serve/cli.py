@@ -374,7 +374,7 @@ def _bench_fleet(args: argparse.Namespace, spec: LoadSpec) -> Dict[str, Any]:
             result["shed_ids"] = report.shed_ids()
             if args.store_out is not None:
                 result["flight"] = {
-                    "recorded": len(router.records),
+                    "recorded": router.records.recorded,
                     "stores": fleet.store_dirs(),
                 }
         if args.oracle:
@@ -414,12 +414,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         result["latency"] = service.latency_quantiles()
         result["service"] = service.report()
         result["shed_ids"] = report.shed_ids()
-        if service.flight is not None:
-            result["flight"] = {
-                "recorded": len(service.flight),
-                "dropped": service.flight.dropped,
-                "store": args.store_out,
-            }
+        result["flight"] = {
+            "recorded": service.flight.recorded,
+            "dropped": service.flight.dropped,
+            "store": args.store_out,
+        }
         _finish_trace(args, service)
         return result
 
@@ -493,8 +492,8 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8123)
     p.add_argument("--store-out", default=None, metavar="DIR",
-                   help="flight-record every request into the telemetry "
-                   "store at DIR (flushed on graceful shutdown)")
+                   help="flush the flight ring of every request into the "
+                   "telemetry store at DIR (on graceful shutdown)")
     _add_service_opts(p)
     p.set_defaults(func=cmd_serve)
 
@@ -563,8 +562,8 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--trace-out", default=None,
                    help="export the serve-side observability trace here")
     p.add_argument("--store-out", default=None, metavar="DIR",
-                   help="flight-record every request into the telemetry "
-                   "store at DIR (flushed at service stop; feed it to "
+                   help="flush the flight ring of every request into the "
+                   "telemetry store at DIR (at service stop; feed it to "
                    "'python -m repro.obs slo')")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable report")

@@ -24,12 +24,12 @@ shipped hook): a flush racing live traffic can miss rows the ring
 overwrites mid-copy, which is the classic flight-recorder trade —
 bounded memory and zero hot-path cost over lossless capture.
 
-``reply_s`` is bitwise the float appended to
-``PredictionService.latencies``, which is what makes
-``p99(reply_s)`` over ingested rows reproduce
-``latency_quantiles()["p99"]`` exactly (sheds never reply: their rows
-carry ``reply_s = 0`` and a shed status, so filter ``status`` when
-aggregating latencies).
+The ring is the owners' only per-request record: their
+``latency_quantiles()`` read ``reply_s`` from every row it holds (the
+newest ``capacity``), flushed or not, whose status is not in
+:data:`~repro.obs.monitor.SHED_STATUSES`, so ``p99(reply_s)`` over
+stored rows with ``status!=1 and status!=2 and status!=5`` reproduces
+``latency_quantiles()["p99"]`` exactly while the ring has not wrapped.
 
 :func:`status_code` is the one response-to-outcome classifier: the
 service, the router and the load generator all sort a response into
@@ -39,11 +39,12 @@ the ``status`` codes of :mod:`repro.obs.monitor` through it.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.monitor import (
+    SHED_STATUSES,
     STATUS_ERROR,
     STATUS_EXPIRED,
     STATUS_OK,
@@ -110,7 +111,7 @@ class FlightRecorder:
         #: the ring: one layout-ordered tuple per recorded row
         self._rows: list = [None] * capacity
         #: total rows ever recorded (monotone absolute sequence)
-        self._seq = 0
+        self.recorded = 0
         #: absolute sequence already flushed to the store
         self._flushed = 0
         #: rows lost to ring wraparound before they could flush
@@ -119,22 +120,26 @@ class FlightRecorder:
     # -- recording (event-loop thread only) -----------------------------
     def record(self, *row: Any) -> None:
         """Record one row, its values in the dataset's layout order."""
-        self._rows[self._seq % self.capacity] = row
-        self._seq += 1
+        self._rows[self.recorded % self.capacity] = row
+        self.recorded += 1
 
     # -- reading / flushing ---------------------------------------------
-    def __len__(self) -> int:
-        return self._seq
-
     @property
     def pending(self) -> int:
         """Unflushed rows still held in the ring (post-wrap survivors)."""
-        return min(self._seq - self._flushed, self.capacity)
+        return min(self.recorded - self._flushed, self.capacity)
+
+    def answered_reply_s(self) -> List[float]:
+        """``reply_s`` of each held row, flushed or not, not in ``SHED_STATUSES`` (ring order)."""
+        floats, ints = LAYOUTS[self.dataset]
+        reply, status = floats.index("reply_s"), len(floats) + ints.index("status")
+        return [row[reply] for row in self._rows
+                if row is not None and row[status] not in SHED_STATUSES]
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """The unflushed rows as numpy columns, oldest first."""
-        start = max(self._flushed, self._seq - self.capacity)
-        rows = [self._rows[i % self.capacity] for i in range(start, self._seq)]
+        start = max(self._flushed, self.recorded - self.capacity)
+        rows = [self._rows[i % self.capacity] for i in range(start, self.recorded)]
         floats, ints = LAYOUTS[self.dataset]
         out: Dict[str, np.ndarray] = {}
         for j, name in enumerate(floats + ints):
@@ -150,20 +155,22 @@ class FlightRecorder:
         """
         if self.store is None:
             return None
-        start = max(self._flushed, self._seq - self.capacity)
+        start = max(self._flushed, self.recorded - self.capacity)
         self.dropped += start - self._flushed
-        if start == self._seq:
-            self._flushed = self._seq
+        if start == self.recorded:
+            self._flushed = self.recorded
             return None
         segment = self.store.append(
             self.dataset,
             self.snapshot(),
             meta={"source": "flight", "dropped": self.dropped},
         )
-        self._flushed = self._seq
+        self._flushed = self.recorded
         return segment
 
     async def flush(self) -> Optional[str]:
         """Flush off the event loop (default executor); see flush_sync."""
+        if self.store is None:  # nothing to write: no executor hop
+            return None
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.flush_sync)

@@ -227,8 +227,6 @@ class FleetRouter:
         self.stats: Dict[int, WorkerStats] = {
             slot: WorkerStats() for slot in self.workers
         }
-        #: raw reply latencies in seconds, mirroring PredictionService
-        self.latencies: List[float] = []
         self._rng = np.random.default_rng([self.config.seed, 1])
         self._inflight = 0
         self._drain_waiters: List["asyncio.Future[None]"] = []
@@ -471,7 +469,6 @@ class FleetRouter:
         now = loop.time()
         latency = now - t_admit
         if response.get("status") != api.SHED:
-            self.latencies.append(latency)
             self.metrics.histogram("serve.fleet.latency_s").observe(latency)
         if api.is_ok(response):
             self.metrics.counter("serve.fleet.ok").inc()
@@ -612,8 +609,8 @@ class FleetRouter:
 
     # -- reporting ------------------------------------------------------
     def latency_quantiles(self) -> Dict[str, float]:
-        """p50/p95/p99 over router-side reply latencies (0 when empty)."""
-        return latency_quantiles(self.latencies)
+        """p50/p95/p99 of the answered ``fleet`` rows the ring holds (0 when empty)."""
+        return latency_quantiles(self.records.answered_reply_s())
 
     def worker_report(self) -> Dict[str, Dict[str, int]]:
         """Per-worker tallies keyed ``w<slot>`` (the loadgen report rows)."""

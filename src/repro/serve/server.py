@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from . import api
 from .service import PredictionService
@@ -274,8 +274,12 @@ class ServeServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """One envelope per line; responses written as they complete."""
-        tasks: List["asyncio.Task[None]"] = []
+        """One envelope per line; responses written as they complete.
+
+        Only unanswered lines hold a task: each leaves ``inflight`` as it
+        completes, so a long-lived connection keeps no per-line history.
+        """
+        inflight: Set["asyncio.Task[None]"] = set()
         lock = asyncio.Lock()
 
         async def answer(line: bytes) -> None:
@@ -291,19 +295,26 @@ class ServeServer:
                 writer.write(api.canonical(response).encode("utf-8") + b"\n")
                 await writer.drain()
 
+        def settle(task: "asyncio.Task[None]") -> None:
+            inflight.discard(task)
+            if not task.cancelled():
+                task.exception()  # retrieved: a dead socket ends the connection quietly
+
         line = first
         oversized = False
         while line:
             stripped = line.strip()
             if stripped:
-                tasks.append(asyncio.get_running_loop().create_task(answer(stripped)))
+                task = asyncio.get_running_loop().create_task(answer(stripped))
+                inflight.add(task)
+                task.add_done_callback(settle)
             try:
                 line = await reader.readline()
             except ValueError:  # over the reader limit, MAX_REQUEST_BYTES
                 oversized = True
                 break
-        if tasks:
-            await asyncio.gather(*tasks)
+        if inflight:
+            await asyncio.wait(inflight)
         if oversized:
             await self._refuse_oversized(reader, writer)
 

@@ -275,8 +275,8 @@ class PredictionService:
         self.config = config or ServeConfig()
         self.calibrations = calibrations or CalibrationStore()
         self.obs = obs
-        #: optional flight recorder; every admitted request leaves a row
-        self.flight = flight
+        #: the per-request record: every admitted request leaves a row
+        self.flight = flight or FlightRecorder()
         self.metrics: MetricsRegistry = (
             obs.metrics if obs is not None else MetricsRegistry()
         )
@@ -290,8 +290,6 @@ class PredictionService:
             max_batch=self.config.max_batch,
             max_linger=self.config.max_linger,
         )
-        #: raw reply latencies in seconds (admit -> reply), for quantiles
-        self.latencies: List[float] = []
         self._executor: Optional[ThreadPoolExecutor] = None
         self._started = False
         #: once stop() begins, new submissions shed with ``shed:drain``
@@ -323,10 +321,8 @@ class PredictionService:
         await self.batcher.stop()
         self._shed_drained(self.batcher.drain_pending())
         await self.calibrations.drain()
-        if self.flight is not None:
-            # off-loop I/O (run_in_executor inside flush); the pipeline
-            # is drained, so the flush races no further recording
-            await self.flight.flush()
+        # the pipeline is drained, so the flush races no further recording
+        await self.flight.flush()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -354,21 +350,19 @@ class PredictionService:
             return
         pending.future.set_result(response)
         latency = now - pending.enqueued
-        self.latencies.append(latency)
         self.metrics.histogram("serve.latency_s").observe(latency)
         self._span("reply", now, now, detail=pending.request.id)
-        if self.flight is not None:
-            self.flight.record(
-                pending.enqueued,
-                (pending.admit_end - pending.enqueued) * 1e6,
-                (pending.t_batch - pending.enqueued) * 1e6,
-                (pending.t_done - pending.t_compute) * 1e6,
-                (now - pending.t_done) * 1e6,
-                latency,  # bitwise the float latencies[] holds
-                pending.depth,
-                status_code(response),
-                pending.batch_size,
-            )
+        self.flight.record(
+            pending.enqueued,
+            (pending.admit_end - pending.enqueued) * 1e6,
+            (pending.t_batch - pending.enqueued) * 1e6,
+            (pending.t_done - pending.t_compute) * 1e6,
+            (now - pending.t_done) * 1e6,
+            latency,
+            pending.depth,
+            status_code(response),
+            pending.batch_size,
+        )
 
     def _record_shed(
         self, response: Dict[str, Any], t_admit: float, admit_end: float, depth: int
@@ -378,11 +372,10 @@ class PredictionService:
         Such a request never replies through the pipeline: its row has
         no queue/compute/reply time, ``reply_s = 0`` and ``batch = 0``.
         """
-        if self.flight is not None:
-            self.flight.record(
-                t_admit, (admit_end - t_admit) * 1e6, 0.0, 0.0, 0.0, 0.0,
-                depth, status_code(response), 0,
-            )
+        self.flight.record(
+            t_admit, (admit_end - t_admit) * 1e6, 0.0, 0.0, 0.0, 0.0,
+            depth, status_code(response), 0,
+        )
         return response
 
     # ------------------------------------------------------------------
@@ -588,13 +581,13 @@ class PredictionService:
 
     # ------------------------------------------------------------------
     def latency_quantiles(self) -> Dict[str, float]:
-        """p50/p95/p99 over every reply latency so far (0 when empty).
+        """p50/p95/p99 of the replies the flight ring holds (0 when empty).
 
-        Uses the repo's one nearest-rank rule
-        (:func:`repro.obs.query.percentile`), so a store aggregate over
-        flight-recorded ``reply_s`` reproduces these numbers exactly.
+        The ring's answered rows (:meth:`FlightRecorder.answered_reply_s`)
+        through the repo's one nearest-rank rule, so a store aggregate
+        over the same rows reproduces these numbers exactly.
         """
-        return latency_quantiles(self.latencies)
+        return latency_quantiles(self.flight.answered_reply_s())
 
     def report(self) -> Dict[str, Any]:
         """Operational snapshot: admission, batching, latency, cache."""

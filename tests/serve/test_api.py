@@ -1,5 +1,6 @@
 """Wire schema validation and the canonical JSON encoding."""
 
+import asyncio
 import json
 
 import pytest
@@ -116,3 +117,77 @@ class TestEnvelopes:
     def test_error_response_keeps_distinct_detail(self):
         r = api.error_response("id", 400, "invalid-field", "servers must be >= 1")
         assert r["error"]["detail"] == "servers must be >= 1"
+
+
+def serve_one(envelope):
+    """One envelope through a live service; its response, canonical and decoded."""
+    from repro.serve import PredictionService, ServeConfig
+
+    async def go():
+        async with PredictionService(ServeConfig(rate=1e9, burst=10**6)) as service:
+            return await service.submit(envelope)
+
+    # an infinity would be encoded, but is not JSON: refuse it on decode
+    return json.loads(api.canonical(asyncio.run(go())), parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def family_envelope(kind, family, servers):
+    query = {"platform": "j90", "family": family, "servers": servers}
+    return {"kind": kind, "id": "r1", "client": "c0", "query": query}
+
+
+def sweep_envelope(servers):
+    return dict(predict_envelope(servers=servers), kind="sweep")
+
+
+class TestIntegerBound:
+    """Wire integers stop at 2**53, the largest count float64 holds exactly."""
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            # past float range: the model raised OverflowError (a 500)
+            predict_envelope(servers=10**400),
+            sweep_envelope([1, 10**400]),
+            family_envelope("predict", "collective", 10**400),
+            family_envelope("sweep", "hpl", [1, 10**400]),
+            predict_envelope(steps=10**400),
+            predict_envelope(update_interval=10**400),
+            # inside float range: the model answered an infinity (not JSON)
+            family_envelope("predict", "collective", 10**305),
+            family_envelope("predict", "hpl", 10**305),
+            predict_envelope(servers=10**308),
+            # the first integer past the bound
+            predict_envelope(servers=2**53 + 1),
+        ],
+        ids=[
+            "v1-servers", "v1-sweep-servers", "collective-servers", "hpl-sweep-servers",
+            "v1-steps", "v1-update-interval", "collective-servers-1e305",
+            "hpl-servers-1e305", "v1-servers-1e308", "v1-servers-2**53+1",
+        ],
+    )
+    def test_an_integer_past_the_bound_is_a_400(self, envelope):
+        response = serve_one(envelope)
+        assert response["status"] == 400
+        assert response["error"]["reason"] == "invalid-field"
+        assert "2**53" in response["error"]["detail"]
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            predict_envelope(servers=2**53),
+            sweep_envelope([1, 2**53]),
+            predict_envelope(servers=7, steps=2**53),
+            predict_envelope(servers=7, update_interval=2**53),
+            family_envelope("predict", "collective", 2**53),
+            family_envelope("sweep", "hpl", [1, 2**53]),
+        ],
+        ids=["v1-servers", "v1-sweep", "v1-steps", "v1-update-interval",
+             "collective-servers", "hpl-sweep"],
+    )
+    def test_the_bound_itself_answers_finite_numbers(self, envelope):
+        assert serve_one(envelope)["status"] == 200

@@ -25,8 +25,11 @@ from repro.serve import (
     run_open_loop,
 )
 from repro.serve.flight import LAYOUTS, FlightRecorder, status_code
+from repro.serve.service import _Pending
 
 WIDE_OPEN = dict(max_queue_depth=100000, rate=1e9, burst=10**6)
+#: the SLO monitor's answered rule as a store filter: no SHED_STATUSES row
+ANSWERED = "status!=1 and status!=2 and status!=5"
 
 
 def fill(recorder, n, reply_s=0.01):
@@ -47,7 +50,7 @@ def test_snapshot_returns_rows_oldest_first():
     assert snap["t_admit"].dtype.kind == "f" and snap["depth"].dtype.kind == "i"
     assert list(snap["t_admit"]) == [0.0, 1.0, 2.0]
     assert list(snap["depth"]) == [0, 1, 2]
-    assert len(r) == 3 and r.pending == 3
+    assert r.recorded == 3 and r.pending == 3
 
 
 def test_wraparound_keeps_newest_and_counts_drops(tmp_path):
@@ -84,6 +87,47 @@ def test_flush_without_store_or_rows_is_a_noop(tmp_path):
     assert r.store.rows("serve") == 2
     r.flush_sync()
     assert r.store.rows("serve") == 3
+
+
+def test_answered_rows_are_every_held_row_but_sheds(tmp_path):
+    r = FlightRecorder(capacity=4, store=TelemetryStore(tmp_path))
+    r.record(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0, STATUS_SHED_RATE, 0)
+    r.record(1.0, 1.0, 2.0, 3.0, 4.0, 0.25, 0, STATUS_OK, 1)
+    r.flush_sync()
+    # flushed rows still count; every shed status is left out
+    for code, reply_s in ((STATUS_EXPIRED, 0.5), (STATUS_SHED_DRAIN, 0.0),
+                          (STATUS_ERROR, 0.75)):
+        r.record(2.0, 1.0, 2.0, 3.0, 4.0, reply_s, 0, code, 1)
+    assert sorted(r.answered_reply_s()) == [0.25, 0.5, 0.75]
+    r.record(3.0, 1.0, 2.0, 3.0, 4.0, 1.0, 0, STATUS_OK, 1)
+    assert sorted(r.answered_reply_s()) == [0.5, 0.75, 1.0]  # 0.25 was overwritten
+    assert r.recorded == 6
+
+
+def test_service_always_holds_a_storeless_ring():
+    service = PredictionService()
+    assert isinstance(service.flight, FlightRecorder)
+    assert service.flight.store is None
+    assert PredictionService().flight is not service.flight
+    ring = FlightRecorder(capacity=4)
+    assert PredictionService(flight=ring).flight is ring  # empty, still used
+
+
+def test_storeless_flush_takes_no_executor_hop():
+    r = FlightRecorder()
+    fill(r, 3)
+
+    async def go():
+        loop = asyncio.get_running_loop()
+
+        def refuse(*_args):
+            raise AssertionError("a store-less flush must not reach the executor")
+
+        loop.run_in_executor = refuse
+        return await r.flush()
+
+    assert asyncio.run(go()) is None
+    assert r.pending == 3
 
 
 def test_capacity_validation():
@@ -172,24 +216,88 @@ def test_store_quantiles_equal_service_report(tmp_path):
     store, flight, report, service = run_flight_campaign(
         tmp_path, dict(max_batch=64, **WIDE_OPEN), spec
     )
-    assert len(flight) == report.sent
+    assert flight.recorded == report.sent
     assert flight.pending == 0  # service stop flushed the ring
     assert store.rows("serve") == report.sent
 
     # the acceptance contract: store aggregates reproduce the service's
-    # own quantile report exactly (shared percentile, bitwise reply_s)
+    # own quantile report exactly (shared percentile, the ring's reply_s)
+    answered = flight.answered_reply_s()
+    assert len(answered) == report.sent - report.shed_rate - report.shed_queue
     served = service.latency_quantiles()
     result = run_query(
         store,
         "serve",
-        where="status!=1 and status!=2",
+        where=ANSWERED,
         agg="p50(reply_s), p95(reply_s), p99(reply_s), count()",
     )
     assert result.aggregates["p50(reply_s)"] == served["p50"]
     assert result.aggregates["p95(reply_s)"] == served["p95"]
     assert result.aggregates["p99(reply_s)"] == served["p99"]
-    assert result.aggregates["count()"] == float(len(service.latencies))
-    assert result.aggregates["p99(reply_s)"] == percentile(service.latencies, 0.99)
+    assert result.aggregates["count()"] == float(len(answered))
+    assert result.aggregates["p99(reply_s)"] == percentile(answered, 0.99)
+
+
+def test_drain_shed_rows_stay_out_of_the_quantiles(tmp_path):
+    """A ``shed:drain`` row (status 5) is a shed: the store filter must drop it too."""
+    store = TelemetryStore(tmp_path)
+    flight = FlightRecorder(store=store)
+
+    def envelope(rid):
+        query = {"platform": "j90", "molecule": "small", "servers": 2}
+        return {"kind": "predict", "id": rid, "client": "c", "query": query}
+
+    async def go():
+        service = PredictionService(ServeConfig(**WIDE_OPEN), flight=flight)
+        await service.start()
+        await asyncio.gather(*(service.submit(envelope(f"q{i}")) for i in range(8)))
+        # the stop race of test_drain: a pending lands behind the sentinel
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        raced = _Pending(
+            api.parse_request(envelope("raced")), loop.create_future(), now, None,
+            admit_end=now,
+        )
+        stopping = loop.create_task(service.stop())
+        await asyncio.sleep(0)
+        service.batcher.put(raced)
+        await stopping
+        return service, raced.future.result()
+
+    service, response = asyncio.run(go())
+    assert response["error"]["reason"] == "shed:drain"
+    assert list(store.scan("serve")["status"]).count(STATUS_SHED_DRAIN) == 1
+
+    aggregates = "p50(reply_s), p95(reply_s), p99(reply_s), count()"
+    result = run_query(store, "serve", where=ANSWERED, agg=aggregates).aggregates
+    served = service.latency_quantiles()
+    assert result["count()"] == float(len(flight.answered_reply_s())) == 8.0
+    assert (result["p50(reply_s)"], result["p95(reply_s)"], result["p99(reply_s)"]) == (
+        served["p50"], served["p95"], served["p99"]
+    )
+    # the two-status filter keeps the drain row and its reply_s of 0
+    kept = run_query(store, "serve", where="status!=1 and status!=2", agg="count()")
+    assert kept.aggregates["count()"] == 9.0
+
+
+def test_quantiles_cover_the_newest_capacity_rows():
+    spec = LoadSpec(clients=4, requests_per_client=10, seed=3)
+    flight = FlightRecorder(capacity=16)
+
+    async def go():
+        async with PredictionService(ServeConfig(**WIDE_OPEN), flight=flight) as service:
+            report = await run_open_loop(service.submit, build_schedule(spec))
+        return report, service
+
+    report, service = asyncio.run(go())
+    assert flight.recorded == report.sent == 40
+    newest = list(flight.snapshot()["reply_s"])  # store-less: nothing flushed
+    assert len(newest) == 16
+    assert service.latency_quantiles() == {
+        "p50": percentile(newest, 0.50),
+        "p95": percentile(newest, 0.95),
+        "p99": percentile(newest, 0.99),
+    }
 
 
 def test_shed_requests_leave_shed_rows(tmp_path):

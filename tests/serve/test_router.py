@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs.query import latency_quantiles
 from repro.obs.store import TelemetryStore
 from repro.sciddle.resilient import RetryPolicy
 from repro.serve import api
@@ -398,9 +399,28 @@ class TestRouterTelemetry:
             return router.records
 
         records = run(main())
-        assert len(records) == 10
+        assert records.recorded == 10
         assert records.pending == 4
         assert list(records.snapshot()["worker"]) == [-1] * 4
+
+    def test_latency_report_reads_the_answered_rows_of_the_ring(self):
+        async def main():
+            router, services, _ = await boot_fleet(2)
+            for i in range(3):
+                await router.submit(predict_envelope(f"r{i}"))
+            await router.submit(predict_envelope("bad", servers=0))  # a 400 row
+            await router.drain()
+            await router.submit(predict_envelope("late"))  # a shed:drain row
+            await shutdown(router, services)
+            return router
+
+        router = run(main())
+        answered = router.records.answered_reply_s()
+        assert router.records.recorded == 5
+        # the parse error counts as answered, with reply_s 0; the shed does not
+        assert len(answered) == 4 and answered[3] == 0.0 and min(answered[:3]) > 0
+        assert router.latency_quantiles() == latency_quantiles(answered)
+        assert router.report()["latency"] == latency_quantiles(answered)
 
     def test_worker_report_accounts_every_forward(self):
         async def main():

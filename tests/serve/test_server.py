@@ -1,6 +1,7 @@
 """TCP transports: NDJSON pipelining, the socket client, the HTTP face."""
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -109,6 +110,68 @@ class TestNdjson:
         response = run(with_server(scenario))
         assert response["status"] == 400
         assert response["error"]["reason"] == "invalid-json"
+
+    def test_a_long_connection_keeps_no_answered_tasks(self):
+        """One socket, many lines: answered lines leave nothing behind."""
+
+        def answered_line_tasks():
+            gc.collect()
+            return sum(
+                1
+                for obj in gc.get_objects()
+                if isinstance(obj, asyncio.Task)
+                and obj.done()
+                and obj.get_coro().__qualname__.endswith("_handle_ndjson.<locals>.answer")
+            )
+
+        async def scenario(port):
+            async with TcpServeClient("127.0.0.1", port) as client:
+                for burst in range(6):
+                    await asyncio.gather(*(
+                        client.request({"kind": "ping", "id": f"p{burst}-{i}"})
+                        for i in range(50)
+                    ))
+                return answered_line_tasks()  # the connection is still open
+
+        assert run(with_server(scenario)) < 10
+
+    def test_a_dead_socket_ends_the_connection_quietly(self):
+        """Answers that fail to write are retrieved, not logged at collection."""
+
+        class DeadWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                raise ConnectionResetError("peer went away")
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+        async def connection():
+            reader = asyncio.StreamReader()
+            for i in range(3):
+                reader.feed_data(json.dumps({"kind": "ping", "id": f"p{i}"}).encode() + b"\n")
+            # the reset lands after the three answers have run
+            loop = asyncio.get_running_loop()
+            loop.call_later(0.05, reader.set_exception, ConnectionResetError("reset"))
+            service = PredictionService(ServeConfig(**WIDE_OPEN))
+            await ServeServer(service)._handle_connection(reader, DeadWriter())
+
+        async def main():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context)
+            )
+            await connection()
+            await asyncio.sleep(0)
+            gc.collect()  # the connection's tasks are garbage now
+            return unhandled
+
+        assert [context["message"] for context in run(main())] == []
 
 
 class TestLineLimits:
