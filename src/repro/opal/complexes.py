@@ -93,13 +93,19 @@ class ComplexSpec:
         in Figures 5c/5d (fast and SMP CoPs still ahead of the T3E at
         seven servers, J90 and slow CoPs saturating at ~3).
 
-        ``cutoff=None`` means no cutoff: n~ is infinite.
+        ``cutoff=None`` means no cutoff: n~ is infinite.  So is it for a
+        cutoff whose cube overflows a float (above about 5.6e102): a
+        sphere that large holds every pair.
         """
         if cutoff is None:
             return math.inf
         if cutoff <= 0:
             raise WorkloadError("cutoff must be positive (or None for no cutoff)")
-        return self.density * (4.0 / 3.0) * math.pi * cutoff**3
+        try:
+            cube = cutoff**3
+        except OverflowError:
+            return math.inf
+        return self.density * (4.0 / 3.0) * math.pi * cube
 
     def cutoff_effective(self, cutoff: Optional[float]) -> bool:
         """Whether ``cutoff`` actually reduces the pair count.

@@ -3,13 +3,13 @@
 Concurrent single-point queries are individually tiny — one model
 evaluation each — but they arrive in bursts, and each dispatch pays
 fixed costs (calibration lookup, model construction, executor handoff)
-that dwarf the per-point arithmetic.  The micro-batcher coalesces
-whatever is queued into one batch per dispatch, bounded by
-``max_batch``, and when the queue runs dry mid-burst it lingers up to
-``max_linger`` seconds for stragglers before dispatching a partial
-batch.  ``max_batch=1`` degenerates to sequential serving through the
-identical code path, which is what the throughput benchmark compares
-against.
+that dwarf the per-point arithmetic.  The micro-batcher dispatches as
+soon as it is idle: each batch is whatever queued while the previous
+batch computed, bounded by ``max_batch``, and it never waits for
+stragglers.  A burst therefore still rides in full batches, while an
+isolated request goes straight to compute.  ``max_batch=1`` degenerates
+to sequential serving through the identical code path, which is what
+the throughput benchmark compares against.
 """
 
 from __future__ import annotations
@@ -34,15 +34,11 @@ class MicroBatcher:
         self,
         dispatch: Callable[[List[Any]], Awaitable[None]],
         max_batch: int = 64,
-        max_linger: float = 0.002,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
-        if max_linger < 0:
-            raise ValueError(f"max_linger must be >= 0, got {max_linger!r}")
         self.dispatch = dispatch
         self.max_batch = max_batch
-        self.max_linger = max_linger
         self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self.batches = 0
         self.items = 0
@@ -99,7 +95,11 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     async def _fill(self, batch: List[Any]) -> bool:
-        """Fill ``batch`` up to ``max_batch``; False once _STOP is seen."""
+        """Fill ``batch`` up to ``max_batch``; False once _STOP is seen.
+
+        Waits only for the first item: the rest is whatever is already
+        queued, which is what arrived while the previous batch computed.
+        """
         item = await self.queue.get()
         if item is _STOP:
             return False
@@ -113,21 +113,6 @@ class MicroBatcher:
             if item is _STOP:
                 return False
             batch.append(item)
-        # linger briefly for stragglers to amortize the dispatch cost
-        if len(batch) < self.max_batch and self.max_linger > 0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.max_linger
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self.queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is _STOP:
-                    return False
-                batch.append(item)
         return True
 
     async def _run(self) -> None:

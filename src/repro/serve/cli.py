@@ -41,8 +41,6 @@ from .service import PredictionService, ServeConfig
 def _add_service_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-batch", type=int, default=64,
                    help="micro-batch size cap (1 = sequential serving)")
-    p.add_argument("--max-linger", type=float, default=0.002,
-                   help="seconds to wait for stragglers in a partial batch")
     p.add_argument("--queue-depth", type=int, default=1024,
                    help="max queued requests before shedding (429 shed:queue)")
     p.add_argument("--admit-rate", type=float, default=200.0,
@@ -59,7 +57,6 @@ def _add_service_opts(p: argparse.ArgumentParser) -> None:
 def _build_service(args: argparse.Namespace) -> PredictionService:
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_linger=args.max_linger,
         max_queue_depth=args.queue_depth,
         rate=args.admit_rate,
         burst=args.burst,
@@ -145,7 +142,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         store_root=args.store_out,
         max_batch=args.max_batch,
-        max_linger=args.max_linger,
         config=FleetConfig(
             rate=args.admit_rate,
             burst=args.burst,
@@ -278,7 +274,6 @@ async def _oracle_responses(
     """
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_linger=args.max_linger,
         max_queue_depth=10**6,
         rate=1e9,
         burst=10**6,
@@ -339,7 +334,6 @@ def _bench_fleet(args: argparse.Namespace, spec: LoadSpec) -> Dict[str, Any]:
         cache_dir=args.cache_dir,
         store_root=args.store_out,
         max_batch=args.max_batch,
-        max_linger=args.max_linger,
         config=FleetConfig(
             rate=args.admit_rate,
             burst=args.burst,

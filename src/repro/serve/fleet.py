@@ -39,6 +39,9 @@ from .server import TcpServeClient
 #: stdout banner of a ready worker (see ``cmd_serve``).
 _PORT_RE = re.compile(rb"serving on [^:]+:(\d+)")
 
+#: seconds to wait for a worker's ready banner before giving up
+SPAWN_TIMEOUT = 60.0
+
 
 def _signal(process: "asyncio.subprocess.Process", sig: int) -> None:
     """Send ``sig`` to a child that asyncio has not yet seen exit.
@@ -71,9 +74,6 @@ class FleetSpec:
     #: disables per-request recording
     store_root: Optional[str] = None
     max_batch: int = 64
-    max_linger: float = 0.002
-    #: seconds to wait for a worker's ready banner before giving up
-    spawn_timeout: float = 60.0
     config: FleetConfig = field(default_factory=FleetConfig)
 
 
@@ -126,7 +126,6 @@ class ServeFleet:
             "--host", self.spec.host,
             "--port", "0",
             "--max-batch", str(self.spec.max_batch),
-            "--max-linger", str(self.spec.max_linger),
             # wide open: the router is the only admission tier
             "--queue-depth", "1000000",
             "--admit-rate", "1e9",
@@ -156,14 +155,11 @@ class ServeFleet:
         )
         assert process.stdout is not None
         try:
-            line = await asyncio.wait_for(
-                process.stdout.readline(), self.spec.spawn_timeout
-            )
+            line = await asyncio.wait_for(process.stdout.readline(), SPAWN_TIMEOUT)
         except asyncio.TimeoutError:
             _signal(process, signal.SIGKILL)
             raise RuntimeError(
-                f"worker w{slot} did not print its port within "
-                f"{self.spec.spawn_timeout}s"
+                f"worker w{slot} did not print its port within {SPAWN_TIMEOUT}s"
             ) from None
         except asyncio.CancelledError:
             # a respawn aborted by shutdown must not orphan the child

@@ -3,7 +3,7 @@
 The fleet router shards queries by compute cell so that one cell's
 calibration resolve, model instance and memoized workload terms warm
 exactly one worker.  A consistent hash ring keeps that mapping stable
-under membership change: each worker slot owns ``replicas`` virtual
+under membership change: each worker slot owns :data:`REPLICAS` virtual
 points on a 64-bit ring, a key is owned by the first point at or after
 its own hash (successor walk), and when a worker dies only the keys it
 owned move — each to the next live successor — while every other
@@ -21,6 +21,10 @@ import bisect
 import hashlib
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
+#: Virtual points per slot: 64 keeps the worst slot within a few
+#: percent of fair share for small fleets.
+REPLICAS = 64
+
 
 def ring_hash(label: str) -> int:
     """The 64-bit ring position of a label (first 8 SHA-256 bytes)."""
@@ -32,18 +36,14 @@ def ring_hash(label: str) -> int:
 class HashRing:
     """Virtual-node consistent hash ring over integer worker slots.
 
-    ``replicas`` virtual points per slot smooth the key distribution;
-    64 keeps the worst slot within a few percent of fair share for
-    small fleets.  Lookup never mutates the ring: dead slots are
+    :data:`REPLICAS` virtual points per slot smooth the key
+    distribution.  Lookup never mutates the ring: dead slots are
     *skipped* via the ``alive`` predicate, which is what makes the
     remap minimal — the points of a dead slot stay on the ring, so its
     revival restores the original ownership bit for bit.
     """
 
-    def __init__(self, slots: Iterable[int] = (), replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas!r}")
-        self.replicas = replicas
+    def __init__(self, slots: Iterable[int] = ()) -> None:
         self._slots: Set[int] = set()
         #: sorted (point, slot) pairs; slots are >= 0 so (h, -1) sorts
         #: strictly before every real point at position h
@@ -67,7 +67,7 @@ class HashRing:
         if slot in self._slots:
             return
         self._slots.add(slot)
-        for replica in range(self.replicas):
+        for replica in range(REPLICAS):
             point = ring_hash(f"w{slot}#{replica}")
             bisect.insort(self._points, (point, slot))
 

@@ -95,7 +95,6 @@ class FleetConfig:
     jittered exponential backoff, ostracism threshold.
     """
 
-    replicas: int = 64
     rate: float = 200.0
     burst: int = 50
     max_queue_depth: int = 1024
@@ -214,7 +213,7 @@ class FleetRouter:
         self.metrics: MetricsRegistry = (
             obs.metrics if obs is not None else MetricsRegistry()
         )
-        self.ring = HashRing(self.workers, replicas=self.config.replicas)
+        self.ring = HashRing(self.workers)
         self.health = ServerHealth(self.policy.death_threshold)
         self.health.on_death(self._on_death)
         self.admission = AdmissionController(

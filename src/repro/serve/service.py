@@ -59,14 +59,15 @@ SERVE_PROC = "serve"
 class ServeConfig:
     """Tunable knobs of one service instance.
 
-    ``max_batch=1`` turns the service into a sequential server through
-    the identical pipeline (the throughput benchmark's baseline).
+    ``max_batch`` caps a batch; the batcher never waits to fill one
+    (see :mod:`repro.serve.batcher`).  ``max_batch=1`` turns the service
+    into a sequential server through the identical pipeline (the
+    throughput benchmark's baseline).
     ``refresh`` is the calibration policy passed to
     :meth:`~repro.serve.calibstore.CalibrationStore.resolve`.
     """
 
     max_batch: int = 64
-    max_linger: float = 0.002
     max_queue_depth: int = 1024
     rate: float = 200.0
     burst: int = 50
@@ -285,11 +286,7 @@ class PredictionService:
             rate=self.config.rate,
             burst=self.config.burst,
         )
-        self.batcher = MicroBatcher(
-            self._dispatch,
-            max_batch=self.config.max_batch,
-            max_linger=self.config.max_linger,
-        )
+        self.batcher = MicroBatcher(self._dispatch, max_batch=self.config.max_batch)
         self._executor: Optional[ThreadPoolExecutor] = None
         self._started = False
         #: once stop() begins, new submissions shed with ``shed:drain``

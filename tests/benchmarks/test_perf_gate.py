@@ -191,10 +191,12 @@ def test_selecting_one_experiment(dirs):
 
 
 def test_committed_baselines_are_schema_tagged():
-    # the real committed baselines must always load cleanly
+    # the real committed baselines and outputs must always load cleanly
     baselines = sorted((BENCH_DIR / "baselines").glob("*.json"))
+    outputs = sorted((BENCH_DIR / "out").glob("*.json"))
     assert baselines, "no committed baselines found"
-    for p in baselines:
+    assert outputs, "no committed outputs found"
+    for p in baselines + outputs:
         payload = emit_mod.load(p)
         assert payload["records"], p
 

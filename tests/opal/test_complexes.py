@@ -58,6 +58,9 @@ def test_n_tilde_scales_with_cutoff_cubed():
 
 def test_n_tilde_no_cutoff_is_infinite():
     assert math.isinf(MEDIUM.n_tilde(None))
+    # so is a cutoff whose cube overflows: that sphere holds every pair
+    for cutoff in (1e103, 1e200, 1.7976931348623157e308):
+        assert math.isinf(MEDIUM.n_tilde(cutoff))
 
 
 def test_n_tilde_invalid_cutoff():

@@ -1,4 +1,4 @@
-"""Micro-batcher: coalescing, ordering, linger and shutdown."""
+"""Micro-batcher: coalescing, ordering, dispatch when idle, and shutdown."""
 
 import asyncio
 
@@ -11,13 +11,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def collecting_batcher(max_batch=8, max_linger=0.0):
+def collecting_batcher(max_batch=8):
     batches = []
 
     async def dispatch(batch):
         batches.append(list(batch))
 
-    return MicroBatcher(dispatch, max_batch=max_batch, max_linger=max_linger), batches
+    return MicroBatcher(dispatch, max_batch=max_batch), batches
 
 
 class TestBatching:
@@ -57,22 +57,33 @@ class TestBatching:
 
         assert run(scenario()) == [[0], [1], [2], [3]]
 
-    def test_linger_waits_for_stragglers(self):
+    def test_items_put_during_a_dispatch_ride_in_the_next_batch(self):
         async def scenario():
-            batcher, batches = collecting_batcher(max_batch=8, max_linger=0.05)
+            batches = []
+            computing = asyncio.Event()
+            release = asyncio.Event()
+
+            async def dispatch(batch):
+                batches.append(list(batch))
+                computing.set()
+                await release.wait()
+
+            batcher = MicroBatcher(dispatch, max_batch=8)
             batcher.start()
-            batcher.put("early")
-            await asyncio.sleep(0.01)  # within the linger window
-            batcher.put("late")
+            batcher.put("first")
+            await computing.wait()  # "first" dispatched alone, still computing
+            for item in ("a", "b", "c"):
+                batcher.put(item)
+            release.set()
             await batcher.stop()
             return batches
 
-        batches = run(scenario())
-        assert batches == [["early", "late"]]
+        assert run(scenario()) == [["first"], ["a", "b", "c"]]
 
     def test_zero_linger_dispatches_immediately(self):
+        # an idle batcher never waits for a batchmate
         async def scenario():
-            batcher, batches = collecting_batcher(max_batch=8, max_linger=0.0)
+            batcher, batches = collecting_batcher(max_batch=8)
             batcher.start()
             batcher.put("first")
             await asyncio.sleep(0.01)
@@ -114,5 +125,3 @@ class TestBatching:
 
         with pytest.raises(ValueError):
             MicroBatcher(nop, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(nop, max_linger=-1.0)

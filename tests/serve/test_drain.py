@@ -40,7 +40,7 @@ class TestBatcherDrain:
             async def dispatch(batch):
                 dispatched.extend(batch)
 
-            batcher = MicroBatcher(dispatch, max_batch=4, max_linger=0.0)
+            batcher = MicroBatcher(dispatch, max_batch=4)
             batcher.start()
             batcher.put("early")
             stopping = asyncio.get_running_loop().create_task(batcher.stop())
@@ -59,7 +59,7 @@ class TestBatcherDrain:
             async def dispatch(batch):
                 pass
 
-            batcher = MicroBatcher(dispatch, max_batch=4, max_linger=0.0)
+            batcher = MicroBatcher(dispatch, max_batch=4)
             batcher.start()
             batcher.put("a")
             await batcher.stop()

@@ -297,31 +297,36 @@ class TestDeadlines:
         # the worker sees what is LEFT of the budget, never more
         assert 0 < forwarded[0]["deadline"] <= 10.0
 
-    def test_expired_budget_is_504_before_any_compute(self):
+    def test_expired_budget_is_504_before_any_compute(self, compute_gate):
         async def main():
-            # the worker lingers longer than the whole budget, so the
-            # request must die of deadline — at the worker's batcher or
-            # the router's clock — without one model evaluation
-            router, services, _ = await boot_fleet(
-                2, service_overrides=dict(max_batch=64, max_linger=0.5)
+            router, services, _ = await boot_fleet(2)
+            doomed = predict_envelope(rid="dead", deadline=0.05)
+            # a batch of the same compute cell holds the owner's compute
+            # thread past the whole budget, so the request must die of
+            # deadline — at the worker's batcher or the router's clock —
+            # without one model evaluation
+            first = asyncio.ensure_future(
+                services[owner_of(router, doomed)].submit(
+                    predict_envelope(rid="first", servers=2)
+                )
             )
-            response = await router.submit(
-                predict_envelope(deadline=0.05)
-            )
-            computed = sum(s.batcher.batches for s in services)
-            # let the worker-side linger window close before shutdown
-            await asyncio.sleep(0.6)
+            await compute_gate.entered()
+            response = await router.submit(doomed)
+            # the worker's copy of the budget lapses too before release
+            await asyncio.sleep(0.05)
+            compute_gate.released.set()
+            await first
+            await shutdown(router, services)
             expired_at_worker = sum(
                 s.metrics.counter("serve.deadline_expired").value
                 for s in services
             )
-            await shutdown(router, services)
-            return response, computed, expired_at_worker
+            return response, expired_at_worker
 
-        response, computed, expired_at_worker = run(main())
+        response, expired_at_worker = run(main())
         assert response["status"] == api.DEADLINE_EXPIRED
         assert response["error"]["reason"] == "deadline-expired"
-        assert computed == 0, "an expired request must not reach compute"
+        assert compute_gate.evaluated == [2], "an expired request must not reach compute"
         assert expired_at_worker >= 1, (
             "the propagated deadline must expire inside the worker batcher"
         )
@@ -497,7 +502,7 @@ class TestRingIntegration:
     def test_router_ring_matches_standalone_ring(self):
         async def main():
             router, services, _ = await boot_fleet(3)
-            ring = HashRing([0, 1, 2], replicas=router.config.replicas)
+            ring = HashRing([0, 1, 2])
             keys = [f"probe-{i}" for i in range(200)]
             same = all(
                 router.ring.owner(k) == ring.owner(k) for k in keys

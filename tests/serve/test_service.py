@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.core.model import OpalPerformanceModel
 from repro.core.parameters import ApplicationParams, ModelPlatformParams
 from repro.obs import ObsSession
@@ -12,6 +14,7 @@ from repro.serve import (
     PredictionService,
     ServeClient,
     ServeConfig,
+    api,
     build_schedule,
     run_open_loop,
 )
@@ -169,22 +172,30 @@ class TestShedding:
 
 
 class TestDeadlines:
-    def test_expired_request_is_dropped_before_compute(self):
+    def test_expired_request_is_dropped_before_compute(self, compute_gate):
         async def scenario():
-            service = PredictionService(
-                ServeConfig(max_batch=8, max_linger=0.05, **WIDE_OPEN)
-            )
+            service = PredictionService(ServeConfig(max_batch=8, **WIDE_OPEN))
             async with service:
                 client = ServeClient(service)
-                # a microscopic deadline expires during the linger window
-                doomed = dict(predict_envelope(rid="dead"), deadline=1e-6)
-                response = await client.request(doomed)
-            return response, service
+                # a first request holds the compute thread, so the doomed
+                # one waits behind its batch until its deadline has passed
+                first = asyncio.ensure_future(
+                    client.request(predict_envelope(rid="first", servers=2))
+                )
+                await compute_gate.entered()
+                doomed = asyncio.ensure_future(
+                    client.request(dict(predict_envelope(rid="dead"), deadline=1e-3))
+                )
+                await asyncio.sleep(0.05)
+                compute_gate.released.set()
+                return await first, await doomed, service
 
-        response, service = run(scenario())
+        first, response, service = run(scenario())
+        assert first["status"] == 200
         assert response["status"] == 504
         assert response["error"]["reason"] == "deadline-expired"
         assert service.metrics.counters["serve.deadline_expired"].value == 1
+        assert compute_gate.evaluated == [2], "the doomed request reached the model"
 
     def test_generous_deadline_is_served(self):
         response = run(
@@ -234,7 +245,46 @@ class TestObservability:
         assert report["batches"] == 1
 
 
+#: cutoffs whose cube overflows a float
+HUGE_CUTOFFS = (1e103, 1e200, 1.7976931348623157e308)
+
+
 class TestRobustness:
+    @pytest.mark.parametrize("kind", ["predict", "sweep"])
+    @pytest.mark.parametrize("cutoff", HUGE_CUTOFFS)
+    def test_huge_cutoff_answers_like_no_cutoff(self, kind, cutoff):
+        # a cutoff sphere past float range holds every pair
+        def envelope(cutoff):
+            query = {"platform": "j90", "molecule": "medium", "cutoff": cutoff}
+            if kind == "predict":
+                query["servers"] = 4
+            return {"kind": kind, "id": "c", "client": "c", "query": query}
+
+        huge = run(serve_one(PredictionService(), envelope(cutoff)))
+        none = run(serve_one(PredictionService(), envelope(None)))
+        assert huge["status"] == 200
+        assert api.canonical(huge) == api.canonical(none)
+
+    def test_huge_cutoff_does_not_fail_its_batchmates(self):
+        envelopes = [
+            predict_envelope(rid="a", cutoff=10.0),
+            predict_envelope(rid="huge", cutoff=HUGE_CUTOFFS[1]),
+            predict_envelope(rid="b", cutoff=12.0),
+        ]
+
+        async def serve_together(max_batch):
+            service = PredictionService(ServeConfig(max_batch=max_batch, **WIDE_OPEN))
+            async with service:
+                client = ServeClient(service)
+                responses = await asyncio.gather(*map(client.request, envelopes))
+            return [api.canonical(r) for r in responses], service.batcher.batches
+
+        together, batches = run(serve_together(64))
+        alone, _ = run(serve_together(1))
+        assert batches == 1  # all three rode one batch
+        assert together == alone
+        assert all('"status":200' in answer for answer in together)
+
     def test_internal_error_answers_500_not_a_hang(self, monkeypatch):
         from repro.serve import service as service_mod
 
