@@ -334,9 +334,10 @@ def ingest_loadgen_report(
 ) -> str:
     """A :class:`~repro.serve.loadgen.LoadgenReport` -> ``loadgen`` rows.
 
-    One row per *answered* request (client-side wall latency in submit
-    order); the shed/expired/error tallies ride along in the segment
-    meta, mirroring ``LoadgenReport.summary()``.
+    One row per response, sheds included (client-side wall latency in
+    completion order; ``request`` is that position, not the request
+    id); the outcome tallies ride along in the segment meta, mirroring
+    ``LoadgenReport.summary()``.
     """
     latencies = [float(v) for v in report.latencies]
     if not latencies:

@@ -13,8 +13,10 @@ Layers: :mod:`~repro.serve.api` (wire schema) →
 :mod:`~repro.serve.admission` → :mod:`~repro.serve.batcher` →
 :mod:`~repro.serve.service` (the pipeline core) →
 :mod:`~repro.serve.server` (asyncio TCP/HTTP transports), with
-:mod:`~repro.serve.calibstore` feeding calibrated coefficients and
-:mod:`~repro.serve.loadgen` driving reproducible campaigns.
+:mod:`~repro.serve.calibstore` feeding calibrated coefficients,
+:mod:`~repro.serve.flight` keeping one row per request (the serve
+path's one record) and :mod:`~repro.serve.loadgen` driving
+reproducible campaigns.
 See docs/SERVING.md for the architecture and ops runbook.
 
 Above the single-process service sits the fault-tolerant fleet tier:

@@ -63,31 +63,13 @@ def _build_service(args: argparse.Namespace) -> PredictionService:
         refresh=args.refresh,
     )
     store = CalibrationStore(cache_dir=args.cache_dir)
-    obs = None
-    if getattr(args, "trace_out", None) is not None:
-        from ..obs import ObsSession
-
-        obs = ObsSession(label="serve")
     flight = None
     if getattr(args, "store_out", None) is not None:
         from ..obs.store import TelemetryStore
         from .flight import FlightRecorder
 
         flight = FlightRecorder(store=TelemetryStore(args.store_out))
-    return PredictionService(
-        config=config, calibrations=store, obs=obs, flight=flight
-    )
-
-
-def _finish_trace(args: argparse.Namespace, service: PredictionService) -> None:
-    path = getattr(args, "trace_out", None)
-    if path is None or service.obs is None:
-        return
-    if str(path).endswith(".jsonl"):
-        service.obs.export_jsonl(path)
-    else:
-        service.obs.export_chrome(path)
-    print(f"trace written to {path}", file=sys.stderr)
+    return PredictionService(config=config, calibrations=store, flight=flight)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +395,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "dropped": service.flight.dropped,
             "store": args.store_out,
         }
-        _finish_trace(args, service)
         return result
 
     if args.fleet:
@@ -553,8 +534,6 @@ def main(argv: Optional[list] = None) -> int:
                    help="exit non-zero if any request was shed")
     p.add_argument("--p99-budget", type=float, default=None,
                    help="exit non-zero if p99 latency exceeds this (seconds)")
-    p.add_argument("--trace-out", default=None,
-                   help="export the serve-side observability trace here")
     p.add_argument("--store-out", default=None, metavar="DIR",
                    help="flush the flight ring of every request into the "
                    "telemetry store at DIR (at service stop; feed it to "

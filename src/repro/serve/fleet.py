@@ -12,9 +12,12 @@ admitted (except during its own drain, which the router retries).
 Calibration replication is by construction: every worker shares the
 fleet's content-addressed calibration ``cache_dir``, so a respawned
 worker reloads calibrations warm from disk instead of re-fitting.
-Each worker incarnation writes its own telemetry store directory
-(``worker-<slot>-g<generation>``) next to the router's; ``python -m
-repro.obs merge`` folds them into one store for the SLO gate.
+The router and every worker keep their per-request rows in their own
+flight rings (:mod:`repro.serve.flight`), the fleet's one record; with
+a ``store_root`` each worker incarnation flushes its ring into its own
+telemetry store directory (``worker-<slot>-g<generation>``) next to the
+router's, and ``python -m repro.obs merge`` folds them into one store
+for the SLO gate.
 
 Chaos taps: :meth:`kill_worker` (SIGKILL, abrupt death) and
 :meth:`stall_worker` (SIGSTOP, wedged-but-connected) let the chaos
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..obs.session import ObsSession
 from .router import FleetConfig, FleetRouter
 from .server import TcpServeClient
 
@@ -71,7 +73,8 @@ class FleetSpec:
     #: in-memory stores; set it to get warm respawn reloads)
     cache_dir: Optional[str] = None
     #: root directory for telemetry stores (router + per-worker); None
-    #: disables per-request recording
+    #: means no store: the router and every worker still keep their
+    #: per-request rows in their in-memory flight rings
     store_root: Optional[str] = None
     max_batch: int = 64
     config: FleetConfig = field(default_factory=FleetConfig)
@@ -102,13 +105,10 @@ class ServeFleet:
     repro.serve fleet`` exposes the whole fleet on one front-door port.
     """
 
-    def __init__(
-        self, spec: Optional[FleetSpec] = None, obs: Optional[ObsSession] = None
-    ) -> None:
+    def __init__(self, spec: Optional[FleetSpec] = None) -> None:
         self.spec = spec or FleetSpec()
         if self.spec.workers < 1:
             raise ValueError("a fleet needs at least one worker")
-        self.obs = obs
         self.procs: Dict[int, WorkerProc] = {}
         self.router: Optional[FleetRouter] = None
         self._generation: Dict[int, int] = {}
@@ -224,7 +224,6 @@ class ServeFleet:
         self.router = FleetRouter(
             workers,
             config=self.spec.config,
-            obs=self.obs,
             store=store,
             respawn_fn=self._respawn_client,
         )

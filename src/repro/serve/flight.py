@@ -3,8 +3,10 @@
 A preallocated ring buffer riding inside
 :class:`~repro.serve.service.PredictionService` (dataset ``serve``)
 and :class:`~repro.serve.router.FleetRouter` (dataset ``fleet``).
-Every request that reaches admission leaves one row whose columns the
-dataset's :data:`LAYOUTS` entry names — for ``serve`` the per-stage
+Every predict or sweep request that reaches admission leaves exactly
+one row, answered, shed or expired, and even when its caller stopped
+waiting (pings and catalog requests leave none).  The dataset's
+:data:`LAYOUTS` entry names the columns — for ``serve`` the per-stage
 latencies (admit/queue/compute/reply, microseconds), the exact reply
 latency the service's own quantile report uses (``reply_s``), the
 queue depth seen at admission, the batch it rode in and a status code;
@@ -24,10 +26,11 @@ shipped hook): a flush racing live traffic can miss rows the ring
 overwrites mid-copy, which is the classic flight-recorder trade —
 bounded memory and zero hot-path cost over lossless capture.
 
-The ring is the owners' only per-request record: their
-``latency_quantiles()`` read ``reply_s`` from every row it holds (the
-newest ``capacity``), flushed or not, whose status is not in
-:data:`~repro.obs.monitor.SHED_STATUSES`, so ``p99(reply_s)`` over
+The ring is the owners' one record: besides it they keep only the
+tallies made where a decision is taken (admission, batcher, per-worker
+stats), and their ``latency_quantiles()`` read ``reply_s`` from every
+row it holds (the newest ``capacity``), flushed or not, whose status
+is not in :data:`~repro.obs.monitor.SHED_STATUSES`, so ``p99(reply_s)`` over
 stored rows with ``status!=1 and status!=2 and status!=5`` reproduces
 ``latency_quantiles()["p99"]`` exactly while the ring has not wrapped.
 
@@ -88,9 +91,10 @@ class FlightRecorder:
     """Single-writer ring buffer of per-request records.
 
     ``capacity`` bounds memory; once exceeded, the oldest *unflushed*
-    rows are overwritten and counted in :attr:`dropped`.  ``dataset``
-    picks the row layout (:data:`LAYOUTS`) and is where :meth:`flush`
-    appends segments to ``store`` (optional).
+    rows are overwritten and counted in :attr:`dropped`, with or
+    without a store.  ``dataset`` picks the row layout
+    (:data:`LAYOUTS`) and is where :meth:`flush` appends segments to
+    ``store`` (optional).
     """
 
     def __init__(
@@ -114,8 +118,8 @@ class FlightRecorder:
         self.recorded = 0
         #: absolute sequence already flushed to the store
         self._flushed = 0
-        #: rows lost to ring wraparound before they could flush
-        self.dropped = 0
+        #: rows lost to wraparound, as folded in at past flushes
+        self._dropped_at_flush = 0
 
     # -- recording (event-loop thread only) -----------------------------
     def record(self, *row: Any) -> None:
@@ -124,6 +128,12 @@ class FlightRecorder:
         self.recorded += 1
 
     # -- reading / flushing ---------------------------------------------
+    @property
+    def dropped(self) -> int:
+        """Rows overwritten before they could flush (derived; no hot-path cost)."""
+        unflushed_lost = self.recorded - self.capacity - self._flushed
+        return self._dropped_at_flush + max(0, unflushed_lost)
+
     @property
     def pending(self) -> int:
         """Unflushed rows still held in the ring (post-wrap survivors)."""
@@ -156,9 +166,9 @@ class FlightRecorder:
         if self.store is None:
             return None
         start = max(self._flushed, self.recorded - self.capacity)
-        self.dropped += start - self._flushed
+        self._dropped_at_flush += start - self._flushed
+        self._flushed = start  # the rows before ``start`` are gone
         if start == self.recorded:
-            self._flushed = self.recorded
             return None
         segment = self.store.append(
             self.dataset,

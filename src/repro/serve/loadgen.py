@@ -185,7 +185,8 @@ class LoadgenReport:
     errors: int = 0
     #: wall-clock duration of the whole run (seconds)
     wall: float = 0.0
-    #: client-side wall latency per *answered* request (submit order)
+    #: client-side wall latency of every response, sheds included, in
+    #: completion order
     latencies: List[float] = field(default_factory=list)
     #: response envelopes keyed by request id
     responses: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -236,8 +237,9 @@ class LoadgenReport:
     def ingest_into(self, store: Any, meta: Optional[Dict[str, Any]] = None) -> str:
         """Append this run's client-side latencies to a telemetry store.
 
-        One ``loadgen`` segment: per-answered-request wall latencies in
-        submit order, with :meth:`summary` riding in the segment meta.
+        One ``loadgen`` segment: the client-side wall latency of every
+        response, sheds included, in completion order, with
+        :meth:`summary` riding in the segment meta.
         Returns the new segment id.
         """
         from ..obs.ingest import ingest_loadgen_report

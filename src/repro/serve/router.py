@@ -28,14 +28,14 @@ the router supervises recovery — the respawned incarnation keeps its
 slot id, reclaims its exact ring points, and (with a shared
 calibration ``cache_dir``) reloads calibrations warm.
 
-Observability: fleet-wide ``serve.fleet.*`` counters, per-worker
-tallies in :meth:`FleetRouter.worker_report`, router spans on the
-``fleet`` process, and one per-request row in the ``fleet``
-dataset, held in a bounded :class:`~repro.serve.flight.FlightRecorder`
-ring and flushed into a :class:`~repro.obs.store.TelemetryStore` —
-SLO-compatible columns (``t_admit``/``status``/``reply_s``/``depth``)
-plus the worker slot and attempt count, so ``obs slo --dataset fleet``
-gates a chaos burst end to end.
+Observability: one per-request row in the ``fleet`` dataset, held in
+a bounded :class:`~repro.serve.flight.FlightRecorder` ring and flushed
+into a :class:`~repro.obs.store.TelemetryStore` — SLO-compatible
+columns (``t_admit``/``status``/``reply_s``/``depth``) plus the worker
+slot and attempt count, so ``obs slo --dataset fleet`` gates a chaos
+burst end to end — beside per-worker forward/retry/failure tallies in
+:meth:`FleetRouter.worker_report`, front-door sheds in
+:attr:`FleetRouter.admission` and membership in :attr:`FleetRouter.health`.
 """
 
 from __future__ import annotations
@@ -47,18 +47,13 @@ from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Tupl
 import numpy as np
 
 from ..errors import ServeError
-from ..obs.metrics import MetricsRegistry
 from ..obs.query import latency_quantiles
-from ..obs.session import ObsSession
 from ..sciddle.resilient import RetryPolicy, ServerHealth
 from . import api
 from .admission import AdmissionController
 from .flight import FlightRecorder, status_code
 from .hashring import HashRing
 from .service import platform_catalog
-
-#: Span process name for every router-side span.
-FLEET_PROC = "fleet"
 
 #: Sentinel worker column value for requests never forwarded.
 NO_WORKER = -1
@@ -199,7 +194,6 @@ class FleetRouter:
         self,
         workers: Mapping[int, Any],
         config: Optional[FleetConfig] = None,
-        obs: Optional[ObsSession] = None,
         store: Optional[Any] = None,
         respawn_fn: Optional[RespawnFn] = None,
     ) -> None:
@@ -208,11 +202,7 @@ class FleetRouter:
         self.workers: Dict[int, Any] = dict(workers)
         self.config = config or FleetConfig()
         self.policy = self.config.policy
-        self.obs = obs
         self.respawn_fn = respawn_fn
-        self.metrics: MetricsRegistry = (
-            obs.metrics if obs is not None else MetricsRegistry()
-        )
         self.ring = HashRing(self.workers)
         self.health = ServerHealth(self.policy.death_threshold)
         self.health.on_death(self._on_death)
@@ -310,10 +300,7 @@ class FleetRouter:
         return sorted(s for s in self.workers if self.alive(s))
 
     def _on_death(self, slot: int) -> None:
-        """Death listener: count, trace, and supervise a respawn."""
-        self.metrics.counter("serve.fleet.worker_deaths").inc()
-        now = asyncio.get_running_loop().time()
-        self._span("death", now, now, detail=f"w{slot}")
+        """Death listener: supervise a respawn."""
         if self.respawn_fn is not None and not self._draining:
             task = asyncio.get_running_loop().create_task(self._respawn(slot))
             self._tasks.add(task)
@@ -324,18 +311,11 @@ class FleetRouter:
         if slot in self._respawning:
             return
         self._respawning.add(slot)
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
         assert self.respawn_fn is not None
         try:
             client = await self.respawn_fn(slot)
-        except Exception as exc:  # noqa: BLE001 - supervisor must survive
-            self.metrics.counter("serve.fleet.respawn_failures").inc()
-            self._span(
-                "respawn-failed", t0, loop.time(),
-                detail=f"w{slot}: {type(exc).__name__}: {exc}",
-            )
-            return
+        except Exception:  # noqa: BLE001 - supervisor must survive
+            return  # the slot stays dead, as report()["dead"] shows
         finally:
             self._respawning.discard(slot)
         old = self.workers.get(slot)
@@ -343,8 +323,6 @@ class FleetRouter:
         self.stats.setdefault(slot, WorkerStats())
         self.ring.add(slot)  # same id -> identical points (no-op if kept)
         self.health.revive(slot)
-        self.metrics.counter("serve.fleet.respawns").inc()
-        self._span("respawn", t0, loop.time(), detail=f"w{slot}")
         if old is not None and old is not client:
             await old.close()
 
@@ -359,7 +337,6 @@ class FleetRouter:
                 if not self.alive(slot):
                     continue
                 client = self.workers[slot]
-                self.metrics.counter("serve.fleet.heartbeats").inc()
                 try:
                     ok = await asyncio.wait_for(
                         client.ping(), self.policy.timeout
@@ -373,10 +350,6 @@ class FleetRouter:
                         self.health.record_success(slot)
 
     # -- request path ---------------------------------------------------
-    def _span(self, category: str, start: float, end: float, detail: str = "") -> None:
-        if self.obs is not None:
-            self.obs.tracer.record(FLEET_PROC, category, start, end, detail=detail)
-
     def _dec_inflight(self) -> None:
         self._inflight -= 1
         if self._inflight == 0:
@@ -399,11 +372,9 @@ class FleetRouter:
         """
         loop = asyncio.get_running_loop()
         t_admit = loop.time()
-        self.metrics.counter("serve.fleet.requests").inc()
         try:
             request = api.parse_request(envelope)
         except ServeError as exc:
-            self.metrics.counter("serve.fleet.errors").inc()
             return self._record(
                 api.error_response(
                     str(envelope.get("id", "")) if isinstance(envelope, dict) else "",
@@ -416,7 +387,6 @@ class FleetRouter:
 
         depth = self._inflight
         if self._draining or not self._started:
-            self.metrics.counter("serve.fleet.shed_drain").inc()
             return self._record(
                 api.error_response(
                     request.id,
@@ -431,9 +401,7 @@ class FleetRouter:
         verdict = self.admission.decide(request.client, admit_clock, depth)
         t_admitted = loop.time()
         admit_us = (t_admitted - t_admit) * 1e6
-        self._span("admit", t_admit, t_admitted, detail=request.id)
         if verdict is not None:
-            self.metrics.counter(f"serve.fleet.shed_{verdict}").inc()
             owner = (
                 self.ring.owner(self.shard_key(request.query), alive=self.alive)
                 if request.query is not None
@@ -452,10 +420,8 @@ class FleetRouter:
             )
 
         if request.kind == "ping":
-            self.metrics.counter("serve.fleet.ok").inc()
             return api.ok_response(request.id, {"kind": "pong"})
         if request.kind == "platforms":
-            self.metrics.counter("serve.fleet.ok").inc()
             return api.ok_response(request.id, platform_catalog())
 
         self._inflight += 1
@@ -465,15 +431,9 @@ class FleetRouter:
             )
         finally:
             self._dec_inflight()
-        now = loop.time()
-        latency = now - t_admit
-        if response.get("status") != api.SHED:
-            self.metrics.histogram("serve.fleet.latency_s").observe(latency)
-        if api.is_ok(response):
-            self.metrics.counter("serve.fleet.ok").inc()
-        self._span("reply", now, now, detail=request.id)
         return self._record(
-            response, t_admit, admit_us, latency, depth, worker, attempts
+            response, t_admit, admit_us, loop.time() - t_admit, depth,
+            worker, attempts,
         )
 
     def _record(
@@ -520,7 +480,6 @@ class FleetRouter:
         for attempt in range(self.policy.max_retries + 1):
             remaining = None if expires is None else expires - loop.time()
             if remaining is not None and remaining <= 0:
-                self.metrics.counter("serve.fleet.deadline_expired").inc()
                 return (
                     api.error_response(
                         request.id,
@@ -533,7 +492,6 @@ class FleetRouter:
                 )
             slot = self.ring.owner(key, alive=self.alive)
             if slot is None:
-                self.metrics.counter("serve.fleet.errors").inc()
                 return (
                     api.error_response(
                         request.id,
@@ -557,44 +515,30 @@ class FleetRouter:
             )
             client = self.workers[slot]
             self.stats[slot].forwarded += 1
-            t0 = loop.time()
             try:
                 response = await asyncio.wait_for(
                     client.request(forwarded), timeout
                 )
             except asyncio.TimeoutError:
                 self.stats[slot].failed += 1
-                self.metrics.counter("serve.fleet.timeouts").inc()
-                self._span(
-                    "timeout", t0, loop.time(), detail=f"w{slot} {request.id}"
-                )
                 self.health.record_timeout(slot)
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
                 self.stats[slot].failed += 1
-                self.metrics.counter("serve.fleet.conn_errors").inc()
-                self._span(
-                    "conn-error", t0, loop.time(), detail=f"w{slot} {request.id}"
-                )
                 # a torn link is a crash signal, not a slow reply
                 self.health.mark_dead(slot)
             else:
                 self.health.record_success(slot)
                 self.stats[slot].completed += 1
-                self._span(
-                    "forward", t0, loop.time(), detail=f"w{slot} {request.id}"
-                )
                 return response, slot, attempts
             attempts += 1
             if attempt >= self.policy.max_retries:
                 break
             self.stats[slot].retried += 1
-            self.metrics.counter("serve.fleet.retries").inc()
             backoff = self.policy.backoff(attempt - 1, self._rng)
             if expires is not None:
                 backoff = min(backoff, max(0.0, expires - loop.time()))
             if backoff > 0:
                 await asyncio.sleep(backoff)
-        self.metrics.counter("serve.fleet.errors").inc()
         return (
             api.error_response(
                 request.id,

@@ -21,10 +21,13 @@ family sweep lowers the query's already validated spec to term columns
 (``WorkloadFamily.lower``) that
 :func:`~repro.core.model.terms_totals` turns into times in one pass.
 
-Every stage is observable: with ``obs=`` the service records per-stage
-spans (``admit``/``queue``/``compute``/``reply`` on the ``serve``
-process) and feeds the session's metrics registry; without it a private
-registry collects the same counters.
+The flight ring (:class:`~repro.serve.flight.FlightRecorder`) is the
+service's one record: every admitted or shed predict/sweep request
+leaves exactly one row with its admit/queue/compute/reply stage times,
+reply latency, queue depth, batch size and status, even when its caller
+stopped waiting.  Counts that are not per request live where they are
+decided: sheds in :attr:`AdmissionController.stats`, batches in
+:attr:`MicroBatcher.batches`/``items``.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ from ..core.model import OpalPerformanceModel, terms_breakdown, terms_totals
 from ..core.parameters import ApplicationParams, ModelPlatformParams
 from ..core.prediction import PredictionSeries, predict_series
 from ..errors import ServeError
-from ..obs.metrics import MetricsRegistry
 from ..obs.query import latency_quantiles
-from ..obs.session import ObsSession
 from ..opal.complexes import get_complex
 from ..platforms import PLATFORMS, get_platform
 from ..workloads import get_family
@@ -50,10 +51,6 @@ from .admission import AdmissionController
 from .batcher import MicroBatcher
 from .calibstore import SOURCE_KEY_DATA, CalibrationStore
 from .flight import FlightRecorder, status_code
-
-#: Span process name for every serve-side span.
-SERVE_PROC = "serve"
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -270,17 +267,12 @@ class PredictionService:
         self,
         config: Optional[ServeConfig] = None,
         calibrations: Optional[CalibrationStore] = None,
-        obs: Optional[ObsSession] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
         self.config = config or ServeConfig()
         self.calibrations = calibrations or CalibrationStore()
-        self.obs = obs
         #: the per-request record: every admitted request leaves a row
         self.flight = flight or FlightRecorder()
-        self.metrics: MetricsRegistry = (
-            obs.metrics if obs is not None else MetricsRegistry()
-        )
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             rate=self.config.rate,
@@ -335,31 +327,27 @@ class PredictionService:
         await self.stop()
 
     # ------------------------------------------------------------------
-    def _span(self, category: str, start: float, end: float, detail: str = "") -> None:
-        if self.obs is not None:
-            self.obs.tracer.record(SERVE_PROC, category, start, end, detail=detail)
-
     def _reply(
         self, pending: _Pending, response: Dict[str, Any], now: float
     ) -> None:
-        """Resolve one pending request and account its latency."""
-        if pending.future.done():  # pragma: no cover - cancelled client
-            return
-        pending.future.set_result(response)
-        latency = now - pending.enqueued
-        self.metrics.histogram("serve.latency_s").observe(latency)
-        self._span("reply", now, now, detail=pending.request.id)
+        """Record one pending request's row, then resolve its future.
+
+        The row comes first and unconditionally: a caller that stopped
+        waiting (its future already cancelled) still leaves its row.
+        """
         self.flight.record(
             pending.enqueued,
             (pending.admit_end - pending.enqueued) * 1e6,
             (pending.t_batch - pending.enqueued) * 1e6,
             (pending.t_done - pending.t_compute) * 1e6,
             (now - pending.t_done) * 1e6,
-            latency,
+            now - pending.enqueued,
             pending.depth,
             status_code(response),
             pending.batch_size,
         )
+        if not pending.future.done():
+            pending.future.set_result(response)
 
     def _record_shed(
         self, response: Dict[str, Any], t_admit: float, admit_end: float, depth: int
@@ -386,11 +374,9 @@ class PredictionService:
         """
         loop = asyncio.get_running_loop()
         t_admit = loop.time()
-        self.metrics.counter("serve.requests").inc()
         try:
             request = api.parse_request(envelope)
         except ServeError as exc:
-            self.metrics.counter("serve.errors").inc()
             return api.error_response(
                 str(envelope.get("id", "")) if isinstance(envelope, dict) else "",
                 exc.status,
@@ -404,9 +390,7 @@ class PredictionService:
         depth = self.batcher.depth
         verdict = self.admission.decide(request.client, admit_clock, depth)
         t_admitted = loop.time()
-        self._span("admit", t_admit, t_admitted, detail=request.id)
         if verdict is not None:
-            self.metrics.counter(f"serve.shed_{verdict}").inc()
             return self._record_shed(
                 api.error_response(
                     request.id,
@@ -418,7 +402,6 @@ class PredictionService:
             )
 
         if self._draining:
-            self.metrics.counter("serve.shed_drain").inc()
             return self._record_shed(
                 api.error_response(
                     request.id,
@@ -430,10 +413,8 @@ class PredictionService:
             )
 
         if request.kind == "ping":
-            self.metrics.counter("serve.ok").inc()
             return api.ok_response(request.id, {"kind": "pong"})
         if request.kind == "platforms":
-            self.metrics.counter("serve.ok").inc()
             return api.ok_response(request.id, platform_catalog())
 
         expires = t_admit + request.deadline if request.deadline is not None else None
@@ -446,41 +427,33 @@ class PredictionService:
             admit_end=t_admitted,
         )
         self.batcher.put(pending)
-        self.metrics.gauge("serve.queue_depth").set(float(self.batcher.depth))
-        response = await pending.future
-        if api.is_ok(response):
-            self.metrics.counter("serve.ok").inc()
-        return response
+        return await pending.future
 
     def _shed_drained(self, leftovers: List[_Pending]) -> None:
         """Answer batcher leftovers with a deterministic drain shed."""
-        if not leftovers:
-            return
         for pending in leftovers:
-            if pending.future.done():  # pragma: no cover - cancelled client
-                continue
-            self.metrics.counter("serve.shed_drain").inc()
-            pending.future.set_result(
-                self._record_shed(
-                    api.error_response(
-                        pending.request.id,
-                        api.SHED,
-                        "shed:drain",
-                        "service stopped before this request reached a batch",
-                    ),
-                    pending.enqueued, pending.admit_end, pending.depth,
-                )
+            response = self._record_shed(
+                api.error_response(
+                    pending.request.id,
+                    api.SHED,
+                    "shed:drain",
+                    "service stopped before this request reached a batch",
+                ),
+                pending.enqueued, pending.admit_end, pending.depth,
             )
+            if not pending.future.done():
+                pending.future.set_result(response)
 
     # ------------------------------------------------------------------
     async def _dispatch(self, batch: List[_Pending]) -> None:
-        """Serve one micro-batch: expire, group, evaluate, reply."""
+        """Serve one micro-batch: expire, group, evaluate, reply.
+
+        Each request is replied to exactly once, so it leaves exactly
+        one flight row.
+        """
         loop = asyncio.get_running_loop()
         t_batch = loop.time()
-        self.metrics.counter("serve.batches").inc()
-        self.metrics.histogram("serve.batch_occupancy").observe(len(batch))
         for pending in batch:
-            self._span("queue", pending.enqueued, t_batch, detail=pending.request.id)
             pending.t_batch = t_batch
             pending.t_compute = t_batch
             pending.t_done = t_batch
@@ -489,7 +462,6 @@ class PredictionService:
         live: List[_Pending] = []
         for pending in batch:
             if pending.expires is not None and t_batch > pending.expires:
-                self.metrics.counter("serve.deadline_expired").inc()
                 self._reply(
                     pending,
                     api.error_response(
@@ -512,34 +484,24 @@ class PredictionService:
                 self._executor, _evaluate_jobs, jobs
             )
             t_done = loop.time()
-            self._span(
-                "compute",
-                t_compute,
-                t_done,
-                detail=f"points={len(jobs)} batch={len(batch)}",
-            )
-            self.metrics.counter("serve.compute_points").inc(len(jobs))
-            for pending, result in zip(live, results):
-                pending.t_compute = t_compute
-                pending.t_done = t_done
-                self._reply(
-                    pending, api.ok_response(pending.request.id, result), t_done
-                )
         except Exception as exc:  # noqa: BLE001 - must never wedge clients
-            self.metrics.counter("serve.errors").inc(len(live))
             now = loop.time()
             for pending in live:
-                if not pending.future.done():
-                    self._reply(
-                        pending,
-                        api.error_response(
-                            pending.request.id,
-                            api.INTERNAL,
-                            "internal-error",
-                            f"{type(exc).__name__}: {exc}",
-                        ),
-                        now,
-                    )
+                self._reply(
+                    pending,
+                    api.error_response(
+                        pending.request.id,
+                        api.INTERNAL,
+                        "internal-error",
+                        f"{type(exc).__name__}: {exc}",
+                    ),
+                    now,
+                )
+            return
+        for pending, result in zip(live, results):
+            pending.t_compute = t_compute
+            pending.t_done = t_done
+            self._reply(pending, api.ok_response(pending.request.id, result), t_done)
 
     async def _resolve_jobs(
         self, live: List[_Pending], now: float

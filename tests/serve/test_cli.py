@@ -88,18 +88,17 @@ class TestBench:
         out = capsys.readouterr().out
         assert "throughput" in out and "p99" in out
 
-    def test_trace_export(self, tmp_path, capsys):
-        trace = tmp_path / "serve-trace.json"
-        assert main(["bench", "--clients", "2", "--requests", "4",
-                     "--trace-out", str(trace)]) == 0
-        payload = json.loads(trace.read_text())
-        assert payload["traceEvents"]
-
 
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bench_has_no_trace_export(self, capsys):
+        # the flight ring (--store-out, then obs query) is the serve record
+        with pytest.raises(SystemExit):
+            main(["bench", "--trace-out", "x.json"])
+        assert "--trace-out" in capsys.readouterr().err
 
     def test_main_module_is_importable(self):
         import repro.serve.__main__  # noqa: F401  (must not run the CLI)

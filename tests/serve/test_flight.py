@@ -63,6 +63,46 @@ def test_wraparound_keeps_newest_and_counts_drops(tmp_path):
     assert r.store.rows("serve") == 4
 
 
+def test_dropped_counts_wraparound_without_a_store():
+    r = FlightRecorder(capacity=4)
+    fill(r, 10)
+    assert (r.recorded, r.pending) == (10, 4)
+    assert r.dropped == 6  # every overwritten row, though nothing flushes
+
+
+def test_dropped_is_live_between_flushes_and_matches_segment_meta(tmp_path):
+    r = FlightRecorder(capacity=4, store=TelemetryStore(tmp_path))
+    fill(r, 6)
+    assert r.dropped == 2  # before any flush
+    r.flush_sync()
+    assert (r.dropped, r.pending) == (2, 0)
+    fill(r, 5)  # one more row lost to the wrap
+    assert r.dropped == 3
+    r.flush_sync()
+    assert r.dropped == 3
+    assert [seg["meta"]["dropped"] for seg in r.store.segments("serve")] == [2, 3]
+    assert r.store.rows("serve") == 8
+
+
+def test_a_failed_flush_does_not_count_its_loss_twice():
+    class FailsOnce:
+        calls = 0
+
+        def append(self, dataset, columns, meta):
+            self.calls += 1
+            if self.calls == 1:
+                raise OSError("disk full")
+            return "segment"
+
+    r = FlightRecorder(capacity=4, store=FailsOnce())
+    fill(r, 6)
+    with pytest.raises(OSError):
+        r.flush_sync()
+    assert r.dropped == 2
+    assert r.flush_sync() == "segment"  # the retry writes the 4 survivors
+    assert (r.dropped, r.pending) == (2, 0)
+
+
 def test_record_shed_rows_never_reply():
     r = FlightRecorder(capacity=4)
     service = PredictionService(ServeConfig(), flight=r)

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs.monitor import STATUS_EXPIRED
 from repro.obs.query import latency_quantiles
 from repro.obs.store import TelemetryStore
 from repro.sciddle.resilient import RetryPolicy
@@ -318,7 +319,7 @@ class TestDeadlines:
             await first
             await shutdown(router, services)
             expired_at_worker = sum(
-                s.metrics.counter("serve.deadline_expired").value
+                list(s.flight.snapshot()["status"]).count(STATUS_EXPIRED)
                 for s in services
             )
             return response, expired_at_worker
