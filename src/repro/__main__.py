@@ -216,7 +216,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    if args.workload != "opal":
+    if args.spec is not None or args.workload not in (None, "opal"):
         return _cmd_workload_campaign(args)
     from .experiments import render_campaign, run_campaign
     from .opal.complexes import get_complex
@@ -239,18 +239,27 @@ def cmd_campaign(args) -> int:
 
 
 def _cmd_workload_campaign(args) -> int:
-    """``campaign --workload collective|hpl``: the family-generic study."""
+    """``campaign --workload collective|hpl`` (or a ``--spec`` naming one): the family study."""
+    from .errors import WorkloadError
     from .platforms import ALL_PLATFORMS, get_platform
     from .workloads import load_spec_data, parse_spec
+    from .workloads.base import spec_family
     from .workloads.campaign import render_workload_campaign, run_workload_campaign
 
-    base_spec = None
+    workload, base_spec = args.workload, None
     if args.spec is not None:
         data = load_spec_data(args.spec)
-        base_spec = parse_spec(data, family=args.workload)
+        # without --workload, the spec's own family picks the study
+        workload = spec_family(data, workload)
+        if workload == "opal":
+            raise WorkloadError(
+                "the opal study takes no --spec; give --molecule instead, "
+                "or a spec file of a non-opal family"
+            )
+        base_spec = parse_spec(data, family=workload)
     reference = get_platform(args.platform)
     report = run_workload_campaign(
-        args.workload,
+        workload,
         reference,
         base_spec=base_spec,
         servers=tuple(range(1, args.servers + 1)),
@@ -319,9 +328,10 @@ def main(argv=None) -> int:
         "campaign", help="the full measure-calibrate-predict study"
     )
     p.add_argument("--platform", default="j90", help="reference platform")
-    p.add_argument("--workload", default="opal",
-                   help="workload family to campaign over (default opal; "
-                   "see 'python -m repro campaign --workload collective')")
+    p.add_argument("--workload", default=None,
+                   help="workload family to campaign over (default: the "
+                   "--spec file's family, else opal; see "
+                   "'python -m repro campaign --workload collective')")
     p.add_argument("--spec", default=None, metavar="FILE",
                    help="base spec file (.json/.toml) for non-opal families; "
                    "the family's factorial design varies around it")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from ..errors import CalibrationError
 from .breakdown import TimeBreakdown
@@ -52,6 +51,19 @@ def _r2(y: np.ndarray, yhat: np.ndarray) -> float:
     if ss_tot <= 0:
         return 1.0 if ss_res <= 1e-30 else 0.0
     return 1.0 - ss_res / ss_tot
+
+
+def _fit_comm(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """The communication fit: a two-column NNLS for ``(1/a1, b1)``, then its r²."""
+    import scipy.optimize  # here, so a process that never fits never loads scipy
+    (inv_a1, b1), _ = scipy.optimize.nnls(x, y)
+    r2 = _r2(y, x @ np.array([inv_a1, b1]))
+    if inv_a1 <= 0:
+        raise CalibrationError(
+            "communication fit produced a non-positive 1/a1; the design "
+            "probably does not vary message volume"
+        )
+    return inv_a1, b1, r2
 
 
 @dataclass
@@ -126,13 +138,7 @@ def calibrate(
         ]
     )
     y_comm = np.array([b.comm for b in meas])
-    (inv_a1, b1), _ = scipy.optimize.nnls(x_comm, y_comm)
-    r2["comm"] = _r2(y_comm, x_comm @ np.array([inv_a1, b1]))
-    if inv_a1 <= 0:
-        raise CalibrationError(
-            "communication fit produced a non-positive 1/a1; the design "
-            "probably does not vary message volume"
-        )
+    inv_a1, b1, r2["comm"] = _fit_comm(x_comm, y_comm)
 
     x_sync = np.array([2.0 * a.s * (a.update_rate + 1.0) for a in apps])
     y_sync = np.array([b.sync for b in meas])
@@ -201,13 +207,7 @@ def calibrate_terms(
         raise CalibrationError(
             "degenerate design for comm: no cell moves any payload bytes"
         )
-    (inv_a1, b1), _ = scipy.optimize.nnls(x_comm, y_comm)
-    r2["comm"] = _r2(y_comm, x_comm @ np.array([inv_a1, b1]))
-    if inv_a1 <= 0:
-        raise CalibrationError(
-            "communication fit produced a non-positive 1/a1; the design "
-            "probably does not vary message volume"
-        )
+    inv_a1, b1, r2["comm"] = _fit_comm(x_comm, y_comm)
 
     b5, r2["sync"] = fit_component(
         np.array([t.sync_ops for t in terms]),

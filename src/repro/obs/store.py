@@ -28,8 +28,10 @@ stamps wall-clock zip timestamps).
 Writes are atomic: the segment directory is populated under a
 ``tmp-`` name and renamed into place, then the manifest is replaced
 via a same-directory temp file, so a reader never observes a torn
-segment; a crash between the two leaves an orphaned ``seg-`` directory
-the manifest does not reference, which readers ignore.
+segment.  The manifest is the commit point.  A writer killed before
+that commit leaves a ``tmp-seg-N`` or an orphaned ``seg-N`` directory
+the manifest does not reference: readers ignore it, and the next
+append, which takes the same id ``N``, removes it first.
 
 The store is deliberately small: no deletes, no updates, no indexes —
 an append log of typed columns with whole-dataset scans.  Everything
@@ -45,6 +47,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -168,6 +171,7 @@ class TelemetryStore:
             segment_id = f"seg-{version:06d}"
             final_dir = self.root / segment_id
             tmp_dir = self.root / f"tmp-{segment_id}"
+            self._clear_leftovers(tmp_dir, final_dir)
             tmp_dir.mkdir()
             try:
                 for name, arr in arrays.items():
@@ -192,6 +196,23 @@ class TelemetryStore:
             )
             self._write_manifest()
         return segment_id
+
+    def _clear_leftovers(self, *paths: pathlib.Path) -> None:
+        """Remove what a writer killed mid-append left under the next id.
+
+        Nothing the manifest does not list was committed, so no reader
+        has seen it.  If the manifest on disk has moved past this
+        store's copy, the directory is another writer's commit: the
+        append refuses rather than overwrite it.
+        """
+        stale = [p for p in paths if p.exists()]
+        if stale and self._load_manifest()["version"] != self._manifest["version"]:
+            raise TelemetryError(
+                f"{self.root} was appended to by another writer since this "
+                "store opened it; a telemetry store takes one writer"
+            )
+        for path in stale:
+            shutil.rmtree(path)
 
     # -- reading --------------------------------------------------------
     @property

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.optimize
 
 from ..errors import WorkloadError
 from .forcefield import total_energy
@@ -102,6 +101,7 @@ def minimize_lbfgs(
     apply: bool = True,
 ) -> MinimizationResult:
     """L-BFGS-B minimization with a frozen pair list (rebuilt once)."""
+    import scipy.optimize  # here, so importing repro never loads scipy
     x0 = system.coords.copy()
     pairs = pairlist.pairs_for_step(0, x0)
     shape = x0.shape

@@ -29,7 +29,7 @@ import hashlib
 import json
 import signal
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from . import api
 from .calibstore import CalibrationStore
@@ -164,22 +164,20 @@ def _query_envelope(args: argparse.Namespace) -> Dict[str, Any]:
         "kind": args.kind,
     }
     if args.kind in ("predict", "sweep"):
-        if args.family != "opal":
-            query: Dict[str, Any] = {
-                "platform": args.platform,
-                "family": args.family,
-                "spec": _load_spec_arg(args.spec),
-                "calibrated": args.calibrated,
-            }
-        else:
-            query = {
-                "platform": args.platform,
-                "molecule": args.molecule,
-                "update_interval": args.update_interval,
-                "cutoff": args.cutoff,
-                "steps": args.steps,
-                "calibrated": args.calibrated,
-            }
+        # only the flags given go on the wire (its defaults equal these
+        # flags' documented ones), so one that does not apply to the
+        # family gets the wire's 400 instead of being dropped
+        family = args.family
+        query: Dict[str, Any] = {"platform": args.platform}
+        if args.spec is not None:
+            family, query["spec"] = _load_spec_arg(args.spec, family)
+        if family not in (None, "opal"):
+            query["family"] = family
+        for name in ("molecule", "update_interval", "cutoff", "steps"):
+            value = getattr(args, name)
+            if value is not None:
+                query[name] = value
+        query["calibrated"] = args.calibrated
         if args.kind == "predict":
             query["servers"] = args.servers
         else:
@@ -188,21 +186,25 @@ def _query_envelope(args: argparse.Namespace) -> Dict[str, Any]:
     return envelope
 
 
-def _load_spec_arg(raw: Optional[str]) -> Dict[str, Any]:
-    """``--spec`` accepts inline JSON or a .json/.toml spec file path."""
-    if raw is None:
-        return {}
-    text = raw.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise SystemExit(f"--spec must be a JSON object, got {text!r}")
-        return data
-    from ..workloads import load_spec_data
+def _load_spec_arg(raw: str, family: Optional[str]) -> Tuple[str, Dict[str, Any]]:
+    """``--spec`` (inline JSON or a .json/.toml file) and the family it binds to.
 
-    data = load_spec_data(raw)
-    data.pop("family", None)  # --family is authoritative on the CLI
-    return data
+    Without ``--family`` the spec's own ``family`` key selects the
+    family; when both are present they must agree.
+    """
+    from ..errors import WorkloadError
+    from ..workloads import load_spec_data
+    from ..workloads.base import spec_family
+
+    text = raw.strip()
+    try:
+        # JSON text that starts with "{" parses to an object or not at all
+        data = json.loads(text) if text.startswith("{") else load_spec_data(raw)
+        family = spec_family(data, family)
+    except (json.JSONDecodeError, WorkloadError) as exc:
+        raise SystemExit(f"--spec: {exc}") from None
+    data.pop("family", None)
+    return family, data
 
 
 def _parse_family_mix(raw: Optional[str]) -> Optional[Dict[str, float]]:
@@ -492,18 +494,21 @@ def main(argv: Optional[list] = None) -> int:
     p = sub.add_parser("query", help="answer one query and print JSON")
     p.add_argument("--kind", choices=api.KINDS, default="predict")
     p.add_argument("--platform", default="j90")
-    p.add_argument("--family", default="opal",
-                   help="workload family (default opal; others take --spec)")
+    p.add_argument("--family", default=None,
+                   help="workload family (default: the --spec's own family, "
+                   "else opal; non-opal families take --spec)")
     p.add_argument("--spec", default=None, metavar="JSON|FILE",
                    help="family spec as inline JSON or a .json/.toml file "
                    "(non-opal families; omitted fields take defaults)")
     p.add_argument("--molecule", choices=("small", "medium", "large"),
-                   default="medium")
+                   default=None, help="opal only (default medium)")
     p.add_argument("--servers", type=int, default=4,
                    help="server count (predict) or max of the 1..N sweep")
-    p.add_argument("--cutoff", type=float, default=None)
-    p.add_argument("--update-interval", type=int, default=1)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--cutoff", type=float, default=None,
+                   help="opal only (default: no cutoff)")
+    p.add_argument("--update-interval", type=int, default=None,
+                   help="opal only (default 1)")
+    p.add_argument("--steps", type=int, default=None, help="opal only (default 10)")
     p.add_argument("--calibrated", action="store_true",
                    help="resolve coefficients through the calibration store")
     p.add_argument("--connect", default=None, metavar="HOST:PORT",

@@ -317,10 +317,15 @@ def get_family(name: str) -> WorkloadFamily:
 def parse_spec(
     data: Mapping[str, Any], family: Optional[str] = None
 ) -> WorkloadSpec:
-    """Bind one raw spec mapping to its family and validate it.
+    """Bind one raw spec mapping to its family and validate it."""
+    return get_family(spec_family(data, family)).spec_from_params(data)
 
-    The family comes from ``family=`` or the mapping's ``"family"``
-    key; both present must agree.
+
+def spec_family(data: Mapping[str, Any], family: Optional[str] = None) -> str:
+    """The family one raw spec mapping binds to.
+
+    It comes from ``family=`` or the mapping's ``"family"`` key; both
+    present must agree.
     """
     named = data.get("family")
     if family is None:
@@ -334,4 +339,4 @@ def parse_spec(
         raise WorkloadError(
             f"spec file names family {named!r} but {family!r} was requested"
         )
-    return get_family(str(family)).spec_from_params(data)
+    return str(family)

@@ -1,6 +1,11 @@
 """TelemetryStore: append/scan round trips, atomicity, bit-identity."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,3 +131,82 @@ def test_bool_columns_land_as_ints(tmp_path):
     col = store.scan("cells")["flag"]
     assert col.dtype == np.int64
     assert list(col) == [1, 0]
+
+
+# ----------------------------------------------------------------------
+# a writer killed mid-append: the manifest is the commit point
+# ----------------------------------------------------------------------
+def _committed_store(root):
+    store = TelemetryStore(root)
+    store.append("serve", {"x": [1, 2]})
+    return store
+
+
+def test_append_after_a_writer_died_writing_columns(tmp_path):
+    _committed_store(tmp_path)
+    # the dead writer's half-written segment
+    (tmp_path / "tmp-seg-000002").mkdir()
+    (tmp_path / "tmp-seg-000002" / "x.npy").write_bytes(b"\x93NUMPY torn")
+    store = TelemetryStore(tmp_path)
+    assert store.rows("serve") == 2
+    assert store.append("serve", {"x": [3]}) == "seg-000002"
+    assert store.append("serve", {"x": [4]}) == "seg-000003"
+    assert list(store.scan("serve")["x"]) == [1, 2, 3, 4]
+    assert list(tmp_path.glob("tmp-*")) == []
+
+
+def test_append_after_a_writer_died_before_its_manifest(tmp_path):
+    _committed_store(tmp_path)
+    # renamed into place, never committed: readers must not count it
+    orphan = tmp_path / "seg-000002"
+    orphan.mkdir()
+    np.save(orphan / "x.npy", np.array([99, 99, 99]))
+    np.save(orphan / "stray.npy", np.array([0.5]))
+    store = TelemetryStore(tmp_path)
+    assert store.rows("serve") == 2
+    assert list(store.scan("serve")["x"]) == [1, 2]
+    assert store.append("serve", {"x": [3]}) == "seg-000002"
+    assert sorted(p.name for p in orphan.iterdir()) == ["x.npy"]
+    reopened = TelemetryStore(tmp_path)
+    assert reopened.rows("serve") == 3
+    assert list(reopened.scan("serve")["x"]) == [1, 2, 3]
+
+
+def test_append_recovers_from_a_writer_killed_between_rename_and_manifest(tmp_path):
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from repro.obs.store import TelemetryStore
+
+        store = TelemetryStore(sys.argv[1])
+        store.append("serve", {"x": [1, 2]})
+        # die after the segment is renamed into place, before the commit
+        TelemetryStore._write_manifest = lambda self: os._exit(17)
+        store.append("serve", {"x": [7, 7, 7]})
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 17, proc.stderr
+    assert (tmp_path / "seg-000002" / "x.npy").exists()
+
+    store = TelemetryStore(tmp_path)
+    assert store.version == 1
+    assert store.rows("serve") == 2
+    assert store.append("serve", {"x": [3]}) == "seg-000002"
+    assert store.append("serve", {"x": [4]}) == "seg-000003"
+    assert list(TelemetryStore(tmp_path).scan("serve")["x"]) == [1, 2, 3, 4]
+
+
+def test_a_second_writer_is_refused_not_destructive(tmp_path):
+    first = _committed_store(tmp_path)
+    stale = TelemetryStore(tmp_path)
+    first.append("serve", {"x": [3]})
+    # the stale writer's next id is the first writer's committed segment
+    with pytest.raises(TelemetryError, match="another writer"):
+        stale.append("serve", {"x": [9]})
+    assert list(TelemetryStore(tmp_path).scan("serve")["x"]) == [1, 2, 3]

@@ -36,6 +36,70 @@ class TestQuery:
         assert json.loads(out)["status"] == 200
 
 
+class TestQueryFamily:
+    """``--spec`` and the opal flags reach the wire; none is dropped."""
+
+    @staticmethod
+    def _answer(capsys, *argv):
+        code = main(["query", *argv, "--compact"])
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.fixture
+    def collective_spec(self, tmp_path):
+        path = tmp_path / "collective.json"
+        path.write_text(json.dumps({"family": "collective", "pattern": "broadcast"}))
+        return str(path)
+
+    def test_a_spec_file_selects_its_own_family(self, capsys, collective_spec):
+        code, response = self._answer(capsys, "--spec", collective_spec, "--servers", "4")
+        assert code == 0
+        result = response["result"]
+        assert result["family"] == "collective" and "molecule" not in result
+        assert result["spec"]["pattern"] == "broadcast"
+        named = self._answer(capsys, "--family", "collective",
+                             "--spec", collective_spec, "--servers", "4")
+        assert named == (code, response)
+
+    def test_an_inline_spec_selects_its_own_family(self, capsys):
+        code, response = self._answer(
+            capsys, "--kind", "sweep", "--servers", "3",
+            "--spec", '{"family": "hpl", "matrix_n": 512}')
+        assert code == 0
+        assert response["result"]["family"] == "hpl"
+        assert response["result"]["spec"]["matrix_n"] == 512
+
+    def test_a_spec_naming_another_family_is_an_error(self, collective_spec):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--family", "hpl", "--spec", collective_spec])
+        assert "'collective' but 'hpl'" in str(exc.value.code)
+
+    def test_a_spec_naming_no_family_needs_one(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "--spec", '{"pattern": "broadcast"}'])
+        assert "names no workload family" in str(exc.value.code)
+
+    def test_opal_flags_on_another_family_get_the_wire_400(self, capsys):
+        code, response = self._answer(
+            capsys, "--family", "hpl", "--molecule", "large", "--cutoff", "10")
+        assert code == 1
+        assert response["status"] == 400
+        assert response["error"]["reason"] == "invalid-query"
+        assert "['cutoff', 'molecule']" in response["error"]["detail"]
+
+    def test_a_spec_on_the_opal_family_gets_the_wire_400(self, capsys):
+        code, response = self._answer(
+            capsys, "--family", "opal", "--spec", '{"rounds": 2}')
+        assert code == 1
+        assert response["status"] == 400
+        assert response["error"]["reason"] == "invalid-query"
+
+    def test_unset_opal_flags_take_the_wire_defaults(self, capsys):
+        spelled = self._answer(capsys, "--molecule", "medium",
+                               "--update-interval", "1", "--steps", "10")
+        assert self._answer(capsys) == spelled
+        assert spelled[1]["result"]["molecule"] == "medium"
+
+
 class TestBench:
     def test_nominal_load_passes_assertions(self, capsys):
         code = main(["bench", "--clients", "4", "--requests", "6",
